@@ -144,6 +144,20 @@ pub fn sample(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The `--step-min` flag (default 5) as a positive sampling step. A
+/// value whose length in seconds overflows is a usage error, not a
+/// wrapped negative step.
+fn step_flag(args: &ArgMap) -> Result<Duration, CliError> {
+    let step_min: i64 = args.get_parsed("step-min", 5i64)?;
+    if step_min <= 0 {
+        return Err(err("--step-min must be positive"));
+    }
+    let secs = step_min
+        .checked_mul(60)
+        .ok_or_else(|| err("--step-min is too large"))?;
+    Ok(Duration::from_seconds(secs))
+}
+
 /// `mira-ops export --from ... --to ... [--step-min 5] [--out file]
 /// [--format json|text] [--store FILE]`
 ///
@@ -157,11 +171,7 @@ pub fn export(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     if from >= to {
         return Err(err("--from must precede --to"));
     }
-    let step_min: i64 = args.get_parsed("step-min", 5i64)?;
-    if step_min <= 0 {
-        return Err(err("--step-min must be positive"));
-    }
-    let step = Duration::from_minutes(step_min);
+    let step = step_flag(args)?;
     let format = OutputFormat::from_flag(args, "format")?.unwrap_or(OutputFormat::Text);
 
     let sink: Box<dyn Write> = match args.get("out") {
@@ -347,12 +357,9 @@ pub fn serve_with_input<R: BufRead>(
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let sim = simulation(args)?;
-    let step_min: i64 = args.get_parsed("step-min", 5i64)?;
-    if step_min <= 0 {
-        return Err(err("--step-min must be positive"));
-    }
+    let step = step_flag(args)?;
     let banner = OutputFormat::from_flag(args, "format")?.unwrap_or(OutputFormat::Text);
-    let mut state = ServeState::new(sim, Duration::from_minutes(step_min))?;
+    let mut state = ServeState::new(sim, step)?;
     if let Some(path) = args.get("store") {
         state = state.with_store(mira_store::open_archive(std::path::Path::new(path))?);
     }
@@ -636,6 +643,33 @@ mod tests {
         let mut out = Vec::new();
         let e = serve_with_input(&map, &b""[..], &mut out).unwrap_err();
         assert!(e.to_string().contains("positive"));
+        assert_eq!(e.exit_code(), 2);
+    }
+
+    #[test]
+    fn overflowing_step_is_a_usage_error() {
+        // 2e17 minutes overflows i64 seconds; the step must not wrap
+        // negative into a panic further down.
+        let huge = "200000000000000000";
+        let e = run_cmd(
+            "export",
+            &[
+                "--from",
+                "2015-01-01",
+                "--to",
+                "2015-01-02",
+                "--step-min",
+                huge,
+            ],
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("too large"), "{e}");
+        assert_eq!(e.exit_code(), 2);
+
+        let map = ArgMap::parse(["--step-min", huge].iter().map(ToString::to_string)).unwrap();
+        let mut out = Vec::new();
+        let e = serve_with_input(&map, &b""[..], &mut out).unwrap_err();
+        assert!(e.to_string().contains("too large"), "{e}");
         assert_eq!(e.exit_code(), 2);
     }
 }

@@ -14,76 +14,18 @@
 //! columnar archive scanned with [`mira_store::Archive::scan_span`]
 //! all produce byte-identical text.
 
-use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{BufRead, Write};
 
 use mira_cooling::CoolantMonitorSample;
 use mira_ras::RasEvent;
 use mira_store::csvfile::{parse_ras_row, parse_telemetry_row};
 use mira_store::{ras_csv_row, StoreError, TelemetryRecord};
 use mira_timeseries::{Duration, SimTime};
+use mira_units::convert;
 
 use crate::error::Error;
+use crate::sweep::SWEEP_BLOCK;
 use crate::telemetry::TelemetryEngine;
-
-/// Errors arising when reading an archive.
-#[deprecated(
-    since = "0.1.0",
-    note = "folded into the structured `mira_core::StoreError` \
-            (`Error::Store`); this alias-shaped enum only remains for \
-            downstream `match` arms mid-migration"
-)]
-#[derive(Debug)]
-pub enum ArchiveError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A malformed row, with its 1-based line number.
-    Parse {
-        /// 1-based line number of the offending row.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-}
-
-#[allow(deprecated)]
-impl From<ArchiveError> for StoreError {
-    fn from(e: ArchiveError) -> Self {
-        match e {
-            ArchiveError::Io(e) => StoreError::Io(e),
-            ArchiveError::Parse { line, message } => StoreError::Parse { line, message },
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl fmt::Display for ArchiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArchiveError::Io(e) => write!(f, "archive i/o error: {e}"),
-            ArchiveError::Parse { line, message } => {
-                write!(f, "archive parse error at line {line}: {message}")
-            }
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl std::error::Error for ArchiveError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ArchiveError::Io(e) => Some(e),
-            ArchiveError::Parse { .. } => None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<io::Error> for ArchiveError {
-    fn from(e: io::Error) -> Self {
-        ArchiveError::Io(e)
-    }
-}
 
 /// The telemetry CSV header.
 pub const TELEMETRY_HEADER: &str = mira_store::TELEMETRY_HEADER;
@@ -197,6 +139,12 @@ pub fn export_sweep_ndjson<W: Write>(
 /// order, delivering each sample quantized to its archived record form
 /// — the single row source behind every export and archive surface.
 ///
+/// The grid is `from + k·step` for every `k` with the instant still
+/// before `to`. It runs through the batched kernel
+/// ([`TelemetryEngine::sweep_steps_into`]) in blocks of up to
+/// [`SWEEP_BLOCK`] instants over one reused scratch, and rows come out
+/// in grid order, racks in index order within an instant.
+///
 /// # Errors
 ///
 /// Propagates the sink's errors.
@@ -213,15 +161,30 @@ pub fn sweep_records<E>(
 ) -> Result<usize, E> {
     assert!(from < to, "empty export span");
     assert!(step.as_seconds() > 0, "step must be positive");
+    // ceil(span / step) instants, counted without ever stepping a
+    // `SimTime` past `to`.
+    let (span_s, step_s) = ((to - from).as_seconds(), step.as_seconds());
+    let instants = convert::usize_from_i64(span_s / step_s + i64::from(span_s % step_s != 0));
+    let mut scratch = engine.sweep_scratch();
     let mut rows = 0;
-    let mut t = from;
-    while t < to {
-        let (_, samples) = engine.observe_all(t);
-        for s in samples {
-            sink(&TelemetryRecord::from_sample(&s))?;
-            rows += 1;
+    let mut k = 0;
+    while k < instants {
+        let n = (instants - k).min(SWEEP_BLOCK);
+        engine.sweep_steps_into(
+            from + step * convert::i64_from_usize(k),
+            step,
+            n,
+            &mut scratch,
+        );
+        let (block, staging) = scratch.block_parts();
+        for j in 0..n {
+            block.materialize_into(j, staging);
+            for s in &staging.samples {
+                sink(&TelemetryRecord::from_sample(s))?;
+                rows += 1;
+            }
         }
-        t += step;
+        k += n;
     }
     Ok(rows)
 }

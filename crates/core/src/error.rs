@@ -91,13 +91,6 @@ impl From<StoreError> for Error {
     }
 }
 
-#[allow(deprecated)]
-impl From<crate::archive::ArchiveError> for Error {
-    fn from(e: crate::archive::ArchiveError) -> Self {
-        Error::Store(e.into())
-    }
-}
-
 impl From<io::Error> for Error {
     fn from(e: io::Error) -> Self {
         Error::Store(StoreError::Io(e))
@@ -152,16 +145,5 @@ mod tests {
     fn io_errors_land_under_store() {
         let e = Error::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert!(matches!(e, Error::Store(StoreError::Io(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_archive_error_still_converts() {
-        let e = Error::from(crate::archive::ArchiveError::Parse {
-            line: 9,
-            message: "legacy".to_string(),
-        });
-        assert_eq!((e.exit_code(), e.kind()), (4, "store-parse"));
-        assert!(e.to_string().contains("line 9"));
     }
 }

@@ -21,9 +21,9 @@
 //! executor performs for that seam) and starts a fresh shard. A query
 //! clones both, merges the open clone after the prefix clone, and
 //! finishes — reproducing the batch fold of `[from, ingested_to)` bit
-//! for bit without touching the running state. Appends are strictly
-//! grid-ordered ([`crate::SweepError::MisalignedAppend`] otherwise), so
-//! the association can never drift from the batch plan's.
+//! for bit without touching the running state. The engine computes
+//! each appended instant itself — always the next point on the grid —
+//! so the association can never drift from the batch plan's.
 //!
 //! Queries cost one clone of the running state, not a recompute: the
 //! aggregate state is bounded (calendar bins, per-rack Welfords, one
@@ -57,7 +57,7 @@ use crate::error::Error;
 use crate::obs::{keys, record_executor_shape, ObservedSweep, SweepObsRecorder};
 use crate::simulation::Simulation;
 use crate::summary::SweepSummary;
-use crate::sweep::{Recorder, SweepError, SweepStep, SWEEP_BLOCK};
+use crate::sweep::{Recorder, SweepError, SWEEP_BLOCK};
 use crate::telemetry::{SweepScratch, TelemetryEngine};
 
 /// One shard's running state: the summary and its riding obs recorder,
@@ -135,8 +135,7 @@ impl IncrementalSweepBuilder {
 ///
 /// Construct via [`IncrementalSweep::builder`] (or
 /// [`Simulation::incremental_sweep`]), feed it with
-/// [`IncrementalSweep::append_step`] or the
-/// [`IncrementalSweep::ingest`] convenience, and read
+/// [`IncrementalSweep::ingest`], and read
 /// [`IncrementalSweep::summary`] / [`IncrementalSweep::observed`] /
 /// [`IncrementalSweep::figures`] at any point. See the [module
 /// docs](self) for why the results are byte-identical to the batch
@@ -186,7 +185,7 @@ impl IncrementalSweep {
         convert::u64_from_usize(self.next_k)
     }
 
-    /// The next grid instant an append must carry:
+    /// The next grid instant [`IncrementalSweep::ingest`] appends:
     /// `from + step · steps_ingested`.
     #[must_use]
     pub fn next_time(&self) -> SimTime {
@@ -247,37 +246,6 @@ impl IncrementalSweep {
         self.advance_boundary();
     }
 
-    /// Folds one instant into the running state. The step must carry
-    /// exactly [`IncrementalSweep::next_time`] — the engine accepts the
-    /// grid in order, never sparse or shuffled, because the batch
-    /// association it replays is defined on the contiguous grid.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Sweep`] carrying [`SweepError::MisalignedAppend`] when
-    /// `step` is not at the expected grid instant.
-    pub fn append_step(&mut self, step: &SweepStep) -> Result<(), Error> {
-        let expected = self.next_time();
-        if step.snapshot.time != expected {
-            return Err(SweepError::MisalignedAppend {
-                expected,
-                got: step.snapshot.time,
-            }
-            .into());
-        }
-        if self.next_k == self.next_boundary {
-            self.roll_shard();
-        }
-        if self.open.is_none() {
-            self.open = Some(self.fresh_shard());
-        }
-        if let Some(open) = self.open.as_mut() {
-            open.record(step);
-        }
-        self.next_k += 1;
-        Ok(())
-    }
-
     /// Computes and appends the next `steps` grid instants from
     /// `engine` through the batched kernel
     /// ([`TelemetryEngine::sweep_steps_into`]), reusing one
@@ -285,14 +253,14 @@ impl IncrementalSweep {
     /// like the batch executor's per-shard fold). Blocks are cut at
     /// calendar-month boundaries so each block folds into exactly one
     /// shard — the roll into the prefix happens between blocks, exactly
-    /// where the per-step path would perform it. Always pass the same
+    /// at the seam where the batch executor merges. Always pass the same
     /// engine: the scratch carries cursors into it.
     ///
     /// # Errors
     ///
-    /// [`Error::Sweep`] if an append misaligns (cannot happen from this
-    /// path; the contract is inherited from
-    /// [`IncrementalSweep::append_step`]).
+    /// None today: the engine always appends the next grid instants
+    /// itself, so nothing can misalign. The `Result` keeps callers'
+    /// error handling stable.
     pub fn ingest(&mut self, engine: &TelemetryEngine, steps: usize) -> Result<(), Error> {
         let mut scratch = match self.scratch.take() {
             Some(s) => s,
@@ -447,33 +415,6 @@ mod tests {
             inc.summary().unwrap_err(),
             Error::Sweep(SweepError::EmptySpan)
         ));
-    }
-
-    #[test]
-    fn misaligned_append_is_rejected() {
-        let sim = Simulation::new(SimConfig::with_seed(7));
-        let step = Duration::from_hours(6);
-        let mut inc = IncrementalSweep::builder(t(2015, 1, 1))
-            .step(step)
-            .build()
-            .unwrap();
-        inc.ingest(sim.telemetry(), 3).unwrap();
-        // Re-appending the last instant (one step behind the cursor).
-        let mut scratch = sim.telemetry().sweep_scratch();
-        sim.telemetry()
-            .sweep_step_into(t(2015, 1, 1) + step * 2, &mut scratch);
-        let err = inc.append_step(scratch.step()).unwrap_err();
-        match err {
-            Error::Sweep(SweepError::MisalignedAppend { expected, got }) => {
-                assert_eq!(expected, t(2015, 1, 1) + step * 3);
-                assert_eq!(got, t(2015, 1, 1) + step * 2);
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
-        // The engine state is untouched; the aligned instant still lands.
-        assert_eq!(inc.steps_ingested(), 3);
-        inc.ingest(sim.telemetry(), 1).unwrap();
-        assert_eq!(inc.steps_ingested(), 4);
     }
 
     #[test]

@@ -125,15 +125,6 @@ struct EdgeState {
     economizer_on: bool,
 }
 
-impl EdgeState {
-    fn of(step: &SweepStep) -> Self {
-        Self {
-            rack_up: step.snapshot.rack_up.clone(),
-            economizer_on: step.snapshot.free_cooling_fraction > 0.0,
-        }
-    }
-}
-
 /// The sweep-instrumentation recorder. Pair it with a [`SweepSummary`]
 /// in a tuple recorder to observe a pass without a second sweep; with
 /// [`ObsMode::Off`] every fold is a single branch.
@@ -160,21 +151,10 @@ impl SweepObsRecorder {
     }
 
     /// Counts the transitions between two adjacent instants' states
-    /// into `metrics` — used both for in-shard neighbors and for the
-    /// seam between two merged partials.
-    fn count_transitions(metrics: &mut MetricsPartial, prev: &EdgeState, cur: &EdgeState) {
-        Self::count_transitions_raw(
-            metrics,
-            &prev.rack_up,
-            prev.economizer_on,
-            &cur.rack_up,
-            cur.economizer_on,
-        );
-    }
-
-    /// Slice-form transition counter — the block path compares adjacent
-    /// availability rows in place without building [`EdgeState`]s.
-    fn count_transitions_raw(
+    /// into `metrics` — used both for in-block neighbors (adjacent
+    /// availability rows, compared in place) and for the seam between
+    /// two merged partials.
+    fn count_transitions(
         metrics: &mut MetricsPartial,
         prev_up: &[bool],
         prev_econ: bool,
@@ -212,58 +192,12 @@ impl SweepObsRecorder {
 impl Recorder for SweepObsRecorder {
     type Output = ObsReport;
 
-    fn record(&mut self, step: &SweepStep) {
-        if !self.enabled {
-            return;
-        }
-        self.steps += 1;
-        self.metrics.add(keys::SIM_STEPS, 1);
-        self.metrics.add(
-            keys::SIM_SAMPLES,
-            convert::u64_from_usize(step.samples.len()),
-        );
-
-        let snap = &step.snapshot;
-        let down = snap.rack_up.iter().filter(|up| !**up).count();
-        self.metrics
-            .gauge(keys::RAS_RACKS_DOWN, convert::f64_from_usize(down));
-        self.metrics
-            .gauge(keys::COOLING_ECONOMIZER_DUTY, snap.free_cooling_fraction);
-        self.metrics
-            .gauge(keys::COOLING_CHILLER_POWER_KW, snap.chiller_power.value());
-
-        let mut power_kw = 0.0;
-        let mut util = 0.0;
-        for (sample, truth) in step.samples.iter().zip(&step.truths) {
-            power_kw += sample.power.value();
-            util += truth.utilization;
-        }
-        let power_mw = power_kw / 1000.0;
-        let util_pct = util / convert::f64_from_usize(step.truths.len().max(1)) * 100.0;
-        self.metrics.gauge(keys::POWER_SYSTEM_MW, power_mw);
-        self.metrics
-            .observe(keys::POWER_SYSTEM_MW_DIST, POWER_MW_BOUNDS, power_mw);
-        self.metrics.gauge(keys::UTILIZATION_PCT, util_pct);
-        self.metrics
-            .observe(keys::UTILIZATION_PCT_DIST, UTILIZATION_BOUNDS, util_pct);
-
-        let edge = EdgeState::of(step);
-        if let Some(prev) = &self.last {
-            Self::count_transitions(&mut self.metrics, prev, &edge);
-        }
-        if self.first.is_none() {
-            self.first = Some(edge.clone());
-        }
-        self.last = Some(edge);
-    }
-
-    /// Lane-direct fold of one batched block: identical metric updates
-    /// to per-step [`Recorder::record`] — counter bumps are exact u64
-    /// sums batched once per block, per-key gauge/histogram samples
-    /// arrive in the same chronological order, and availability
-    /// transitions are counted between adjacent block rows (the block's
-    /// first row against the carried trailing edge) — so the
-    /// deterministic snapshot is byte-identical either way.
+    /// Lane-direct fold of one batched block: counter bumps are exact
+    /// u64 sums batched once per block, per-key gauge/histogram samples
+    /// arrive in chronological order, and availability transitions are
+    /// counted between adjacent block rows (the block's first row
+    /// against the carried trailing edge) — so the deterministic
+    /// snapshot is the same however the grid is cut into blocks.
     // Row indexing is bounded: `k < block.len()` with emptiness checked
     // up front, and adjacent-row reads use `k - 1` only when `k > 0`.
     // mira-lint: allow(panic-reachability)
@@ -306,7 +240,7 @@ impl Recorder for SweepObsRecorder {
                 .observe(keys::UTILIZATION_PCT_DIST, UTILIZATION_BOUNDS, util_pct);
 
             if k > 0 {
-                Self::count_transitions_raw(
+                Self::count_transitions(
                     &mut self.metrics,
                     &block.up[k - 1],
                     econ(k - 1),
@@ -314,7 +248,7 @@ impl Recorder for SweepObsRecorder {
                     econ(k),
                 );
             } else if let Some(prev) = &self.last {
-                Self::count_transitions_raw(
+                Self::count_transitions(
                     &mut self.metrics,
                     &prev.rack_up,
                     prev.economizer_on,
@@ -360,7 +294,13 @@ impl Recorder for SweepObsRecorder {
         // its first step's transitions are counted here. This is what
         // makes the sharded fold equal the sequential one.
         if let (Some(prev), Some(cur)) = (&self.last, &later.first) {
-            Self::count_transitions(&mut self.metrics, prev, cur);
+            Self::count_transitions(
+                &mut self.metrics,
+                &prev.rack_up,
+                prev.economizer_on,
+                &cur.rack_up,
+                cur.economizer_on,
+            );
         }
         if self.first.is_none() {
             self.first = later.first;
@@ -507,8 +447,10 @@ mod tests {
         let step = Duration::from_hours(2);
 
         // Emulate the executor by hand: one fresh recorder per
-        // calendar-month shard, merged chronologically. The seam
-        // transitions must come out of `merge`, not `record`.
+        // calendar-month shard, merged chronologically, each instant
+        // folded as a 1-instant block from a fresh scratch. The seam
+        // transitions must come out of `merge`, and the in-shard ones
+        // out of the carried trailing edge, not the block cut.
         let shards = month_shards(span.0, span.1, step);
         assert!(shards.len() >= 3, "span must cross month boundaries");
         let mut merged: Option<SweepObsRecorder> = None;
@@ -516,10 +458,10 @@ mod tests {
             let mut partial = SweepObsRecorder::new(ObsMode::On);
             for k in lo..hi {
                 let at = span.0 + step * convert::i64_from_usize(k);
-                // Deliberately the deprecated one-shot: the hand fold
-                // must not share scratch state across shards.
-                #[allow(deprecated)]
-                partial.record(&sim.telemetry().sweep_step(at));
+                let mut scratch = sim.telemetry().sweep_scratch();
+                sim.telemetry().sweep_steps_into(at, step, 1, &mut scratch);
+                let (block, staging) = scratch.block_parts();
+                partial.record_block(block, staging);
             }
             match merged.as_mut() {
                 Some(acc) => acc.merge(partial),

@@ -44,17 +44,11 @@ impl ChannelAggregate {
         }
     }
 
-    fn push(&mut self, t: SimTime, parts: CivilParts, value: f64) {
-        // Week key on a global 7-day grid — a pure function of t, so
-        // shard boundaries never shift which week a sample lands in.
-        let week =
-            SimTime::from_epoch_seconds(t.epoch_seconds().div_euclid(7 * 86_400) * 7 * 86_400);
-        self.push_keyed(parts, week, value);
-    }
-
-    /// [`Self::push`] with the week key already derived — the batched
-    /// block fold computes each instant's key once and shares it across
-    /// all seven channels instead of re-deriving it per channel.
+    /// Pushes one value under its calendar parts and week key. The week
+    /// key sits on a global 7-day grid — a pure function of the instant,
+    /// so shard boundaries never shift which week a sample lands in —
+    /// and the block fold derives it once per instant for all seven
+    /// channels.
     fn push_keyed(&mut self, parts: CivilParts, week: SimTime, value: f64) {
         self.bins.push_parts(parts, value);
         match self.weeks.last_mut() {
@@ -234,86 +228,10 @@ impl SweepSummary {
         self.span = (self.span.0.min(later.span.0), self.span.1.max(later.span.1));
     }
 
-    fn ingest(&mut self, sweep_step: &SweepStep) {
-        let snap = &sweep_step.snapshot;
-        let t = snap.time;
-        // The step carries the civil decomposition of `t`, so the seven
-        // channel pushes and the energy ledger share one calendar
-        // derivation instead of re-deriving it each.
-        let parts = sweep_step.civil;
-        let mut power_kw = 0.0;
-        let mut util = 0.0;
-        let mut flow = 0.0;
-        let mut inlet = 0.0;
-        let mut outlet = 0.0;
-        let mut dc_t = 0.0;
-        let mut dc_h = 0.0;
-
-        for rack in RackId::all() {
-            let truth = &sweep_step.truths[rack.index()];
-            let sample = &sweep_step.samples[rack.index()];
-            let agg = &mut self.racks[rack.index()];
-            agg.power.push(sample.power.value());
-            agg.utilization.push(truth.utilization);
-            agg.flow.push(sample.flow.value());
-            agg.inlet.push(sample.inlet.value());
-            agg.outlet.push(sample.outlet.value());
-            agg.ambient_temperature.push(sample.dc_temperature.value());
-            agg.ambient_humidity.push(sample.dc_humidity.value());
-            self.dc_temp_all_racks.push(sample.dc_temperature.value());
-            self.dc_rh_all_racks.push(sample.dc_humidity.value());
-
-            power_kw += sample.power.value();
-            util += truth.utilization;
-            flow += sample.flow.value();
-            inlet += sample.inlet.value();
-            outlet += sample.outlet.value();
-            dc_t += sample.dc_temperature.value();
-            dc_h += sample.dc_humidity.value();
-        }
-        let n = convert::f64_from_usize(RackId::COUNT);
-        self.power_mw.push(t, parts, power_kw / 1000.0);
-        self.utilization_pct.push(t, parts, util / n * 100.0);
-        self.flow_gpm.push(t, parts, flow);
-        self.inlet_f.push(t, parts, inlet / n);
-        self.outlet_f.push(t, parts, outlet / n);
-        self.dc_temp_f.push(t, parts, dc_t / n);
-        self.dc_rh.push(t, parts, dc_h / n);
-
-        // Energy accounting.
-        let year = parts.date.year();
-        let idx = match self.yearly_energy.iter().position(|(y, _)| *y == year) {
-            Some(i) => i,
-            None => {
-                // Insert in sorted position so the index is known without
-                // a second search.
-                let at = self.yearly_energy.partition_point(|(y, _)| *y < year);
-                self.yearly_energy
-                    .insert(at, (year, FreeCoolingLedger::new()));
-                at
-            }
-        };
-        // idx is a found or just-inserted position in yearly_energy.
-        // mira-lint: allow(panic-reachability)
-        let ledger = &mut self.yearly_energy[idx].1;
-        let plant_load = mira_cooling::PlantLoad {
-            supply_temperature: snap.supply_temperature,
-            free_cooling_fraction: snap.free_cooling_fraction,
-            chiller_power: snap.chiller_power,
-            avoided_power: snap.avoided_power,
-        };
-        ledger.record(&plant_load, self.step);
-        if parts.date.month().is_free_cooling_season() {
-            self.season_saved += snap.avoided_power.for_hours(self.step.as_hours());
-        }
-    }
-
-    /// Lane-direct fold of one batched block: the same pushes as
-    /// [`Self::ingest`], reading the block's structure-of-arrays rows
-    /// instead of a materialized [`SweepStep`]. Observed channels come
-    /// from the block's sensor lanes (already clamped/floored by the
-    /// observation pass) and utilization from the truth lane, so every
-    /// pushed value is bit-identical to the per-step path's.
+    /// Lane-direct fold of one batched block, reading the block's
+    /// structure-of-arrays rows. Observed channels come from the block's
+    /// sensor lanes (already clamped/floored by the observation pass)
+    /// and utilization from the truth lane.
     ///
     /// The fold runs in three accumulator-resident passes over the
     /// block. Interchanging the (instant, accumulator) loops is
@@ -423,10 +341,7 @@ impl SweepSummary {
             // idx is a found or just-inserted position in yearly_energy.
             // mira-lint: allow(panic-reachability)
             let ledger = &mut self.yearly_energy[idx].1;
-            // Qualified call: a bare `.record(..)` name-resolves against
-            // `SweepSummary::record` in mira-lint's call graph, dragging a
-            // spurious allocation chain into the hot-root walk.
-            FreeCoolingLedger::record(ledger, &block.plants[k], self.step);
+            ledger.record(&block.plants[k], self.step);
             if parts.date.month().is_free_cooling_season() {
                 self.season_saved += block.plants[k]
                     .avoided_power
@@ -468,10 +383,6 @@ impl SweepSummary {
 
 impl Recorder for SweepSummary {
     type Output = SweepSummary;
-
-    fn record(&mut self, step: &SweepStep) {
-        self.ingest(step);
-    }
 
     fn record_block(&mut self, block: &SweepBlock, _staging: &mut SweepStep) {
         self.ingest_block(block);

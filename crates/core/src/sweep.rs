@@ -57,14 +57,6 @@ pub enum SweepError {
     EmptySpan,
     /// The sampling step is zero or negative.
     NonPositiveStep,
-    /// An incremental append skipped or repeated a grid instant: the
-    /// engine only accepts the next instant on the sample grid.
-    MisalignedAppend {
-        /// The next grid instant the engine expects.
-        expected: SimTime,
-        /// The instant actually appended.
-        got: SimTime,
-    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -72,10 +64,6 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::EmptySpan => write!(f, "sweep span is empty (from >= to)"),
             SweepError::NonPositiveStep => write!(f, "sweep step must be positive"),
-            SweepError::MisalignedAppend { expected, got } => write!(
-                f,
-                "misaligned append: expected grid instant {expected}, got {got}"
-            ),
         }
     }
 }
@@ -146,28 +134,9 @@ pub struct SweepStep {
     pub samples: Vec<CoolantMonitorSample>,
 }
 
-impl TelemetryEngine {
-    /// Computes one full [`SweepStep`] at `t`: one snapshot, then one
-    /// truth + observation per rack (the truth is *not* recomputed for
-    /// the observation, unlike calling [`TelemetryEngine::rack_truth`]
-    /// and [`TelemetryEngine::observe`] separately).
-    ///
-    /// One-shot convenience over [`TelemetryEngine::sweep_step_into`];
-    /// loops should build a [`crate::SweepScratch`] once and reuse it.
-    #[deprecated(note = "allocates a fresh scratch per call; reuse a SweepScratch via \
-                sweep_scratch()/sweep_step_into, or feed an IncrementalSweep \
-                via IncrementalSweep::ingest")]
-    #[must_use]
-    pub fn sweep_step(&self, t: SimTime) -> SweepStep {
-        let mut scratch = self.sweep_scratch();
-        self.sweep_step_into(t, &mut scratch);
-        scratch.into_step()
-    }
-}
-
-/// A streaming analysis that can run sharded: fold [`SweepStep`]s,
-/// merge with a later partial of the same type, and finish into its
-/// output.
+/// A streaming analysis that can run sharded: fold blocks of sweep
+/// instants, merge with a later partial of the same type, and finish
+/// into its output.
 ///
 /// Tuples of recorders implement `Recorder` too, so several analyses
 /// share one pass over the telemetry.
@@ -175,23 +144,16 @@ pub trait Recorder: Sized {
     /// What [`Recorder::finish`] produces.
     type Output;
 
-    /// Folds one sweep instant into the state.
-    fn record(&mut self, step: &SweepStep);
-
     /// Folds a contiguous block of instants produced by the batched
-    /// kernel ([`TelemetryEngine::sweep_steps_into`]).
+    /// kernel ([`TelemetryEngine::sweep_steps_into`]) — the one fold
+    /// both the executor and the incremental engine drive.
     ///
-    /// The default materializes each instant into `staging` and calls
-    /// [`Recorder::record`], so every recorder sees the identical
-    /// per-instant view either way. Recorders on the hot path override
-    /// this to read the block's structure-of-arrays lanes directly and
-    /// skip the materialization.
-    fn record_block(&mut self, block: &SweepBlock, staging: &mut SweepStep) {
-        for k in 0..block.len() {
-            block.materialize_into(k, staging);
-            self.record(staging);
-        }
-    }
+    /// `staging` is a reusable per-instant buffer: a recorder that
+    /// needs the per-instant [`SweepStep`] view (the block's lanes are
+    /// crate-private) calls `block.materialize_into(k, staging)` for
+    /// each `k < block.len()`. Recorders that read the lanes directly
+    /// ignore it.
+    fn record_block(&mut self, block: &SweepBlock, staging: &mut SweepStep);
 
     /// Absorbs a partial that covers the span immediately *after* this
     /// one's.
@@ -203,11 +165,6 @@ pub trait Recorder: Sized {
 
 impl<A: Recorder, B: Recorder> Recorder for (A, B) {
     type Output = (A::Output, B::Output);
-
-    fn record(&mut self, step: &SweepStep) {
-        self.0.record(step);
-        self.1.record(step);
-    }
 
     fn record_block(&mut self, block: &SweepBlock, staging: &mut SweepStep) {
         self.0.record_block(block, staging);
@@ -226,12 +183,6 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
 
 impl<A: Recorder, B: Recorder, C: Recorder> Recorder for (A, B, C) {
     type Output = (A::Output, B::Output, C::Output);
-
-    fn record(&mut self, step: &SweepStep) {
-        self.0.record(step);
-        self.1.record(step);
-        self.2.record(step);
-    }
 
     fn record_block(&mut self, block: &SweepBlock, staging: &mut SweepStep) {
         self.0.record_block(block, staging);
@@ -581,12 +532,14 @@ mod tests {
     }
 
     #[test]
-    // The one-shot entry point stays correct while deprecated.
-    #[allow(deprecated)]
     fn sweep_step_matches_piecewise_queries() {
+        // Random access is a block of length 1 from a fresh scratch; it
+        // must agree with the independent scalar reference path.
         let e = engine();
         let at = t(2017, 6, 15) + Duration::from_hours(7);
-        let step = e.sweep_step(at);
+        let mut scratch = e.sweep_scratch();
+        e.sweep_step_into(at, &mut scratch);
+        let step = scratch.step();
         let snap = e.snapshot(at);
         assert_eq!(step.snapshot, snap);
         for rack in RackId::all() {

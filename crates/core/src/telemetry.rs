@@ -559,7 +559,8 @@ impl TelemetryEngine {
 
     /// Computes the full [`SweepStep`] at `t` into `scratch`, reusing
     /// its buffers and cursors: zero heap allocation per step once the
-    /// scratch is warm, and bit-identical to [`Self::sweep_step`].
+    /// scratch is warm, and bit-identical whatever the scratch computed
+    /// before.
     ///
     /// This is the batched kernel [`Self::sweep_steps_into`] run over a
     /// one-instant block, with the per-instant view materialized into
@@ -803,11 +804,11 @@ impl TelemetryEngine {
 }
 
 /// Reusable per-worker state for the allocation-free sweep path: the
-/// [`SweepStep`] buffers plus every model cursor, threaded through
-/// [`TelemetryEngine::sweep_step_into`].
+/// [`SweepBlock`] rows, the [`SweepStep`] staging buffer, and every
+/// model cursor, threaded through [`TelemetryEngine::sweep_steps_into`].
 ///
 /// One scratch per sequential fold (the parallel executor builds one
-/// per shard). All cached values are pure functions of their inputs, so
+/// per worker). All cached values are pure functions of their inputs, so
 /// reusing a scratch across arbitrary instants — even non-monotone ones
 /// — produces exactly the cold-path bits.
 #[derive(Debug, Clone)]
@@ -865,8 +866,8 @@ impl SweepScratch {
 ///
 /// Recorders either read the lanes directly (the summary and obs
 /// recorders do) or materialize per-instant [`SweepStep`] views with
-/// [`SweepBlock::materialize_into`]; both see exactly the bits the
-/// per-step path produces.
+/// [`SweepBlock::materialize_into`]; both see exactly the bits of the
+/// same instant computed alone ([`TelemetryEngine::sweep_step_into`]).
 #[derive(Debug, Clone)]
 pub struct SweepBlock {
     len: usize,
@@ -1015,7 +1016,7 @@ impl SweepBlock {
     /// newtype. Humidity lanes already carry post-clamp values and flow
     /// and power observations their zero floor, so the constructors are
     /// idempotent here and the materialized step is bit-identical to
-    /// the per-step path's.
+    /// [`TelemetryEngine::sweep_step_into`] at the same instant.
     ///
     /// # Panics
     ///

@@ -20,6 +20,7 @@
 //! `<root>/target/mira-lint-cache.json`; `--cache-file` overrides and
 //! implies `--cache`) — cached and cold output are byte-identical.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -119,7 +120,10 @@ fn run() -> Result<ExitCode, String> {
                 Rule::ALL.map(Rule::name).join(", ")
             )
         })?;
-        println!("{}", rule.explain());
+        // A reader that stops early (`| grep -q .`) closes the pipe
+        // mid-text; that is not a failure of the explain command, so
+        // the write error is dropped instead of panicking in println!.
+        let _ = writeln!(std::io::stdout().lock(), "{}", rule.explain());
         return Ok(ExitCode::SUCCESS);
     }
 

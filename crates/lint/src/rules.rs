@@ -330,22 +330,25 @@ impl Rule {
                  In-workspace calls to our own `#[deprecated]` shims are\n\
                  findings. rustc only warns downstream crates, and warnings rot;\n\
                  this rule keeps the workspace itself at zero uses so shims can\n\
-                 be deleted on schedule (see CHANGELOG.md — the 0.2.0 sweep-API\n\
-                 shims have already been removed this way).\n\n\
-                 Current burndown: `TelemetryEngine::sweep_step` allocates a\n\
-                 fresh scratch per call. Loops should build a `SweepScratch`\n\
-                 once via `sweep_scratch()` and drive `sweep_step_into`, or\n\
-                 feed appended telemetry through `IncrementalSweep::ingest`\n\
-                 (see `IncrementalSweep::builder()`)."
+                 be deleted on schedule (see CHANGELOG.md — the sweep-API and\n\
+                 archive-error shims were all removed this way).\n\n\
+                 The workspace has no deprecated shims today. A new one must\n\
+                 name its replacement in the `#[deprecated]` note and be\n\
+                 burned down before it is deleted; for sweeps the replacement\n\
+                 is a reused `SweepScratch` driven through the batched kernel\n\
+                 (`SweepPlan`, `IncrementalSweep::ingest`, or\n\
+                 `sweep_step_into` for random access)."
             }
             Rule::AllocInHotPath => {
                 "alloc-in-hot-path (semantic rule)\n\n\
                  The sweep engine's measured contract is ~0 heap allocations per\n\
                  simulated step (BENCH_sweep.json); every buffer is owned by\n\
                  SweepScratch and reused via clear()+push. This rule walks the\n\
-                 call graph from the configured hot roots (SweepPlan::run,\n\
-                 TelemetryEngine::sweep_step_into, and the `merge` aggregation\n\
-                 fns of core/obs/timeseries) and reports any reachable\n\
+                 call graph from the configured hot roots (SweepPlan::run, the\n\
+                 batched kernel TelemetryEngine::sweep_steps_into and its\n\
+                 1-instant form sweep_step_into, the one summary fold\n\
+                 SweepSummary::record_block, and the `merge` aggregation fns\n\
+                 of core/obs/timeseries) and reports any reachable\n\
                  allocation site: heap-container constructors (Vec::new,\n\
                  String::with_capacity, Box::new, ...), `format!`/`vec!`,\n\
                  allocating methods (.to_string, .collect, .to_vec, ...),\n\

@@ -32,8 +32,6 @@ fn errors_implement_std_error_and_are_sendable() {
     assert_error::<mira_facility::ParseRackIdError>();
     assert_error::<mira_core::SweepError>();
     assert_error::<mira_core::StoreError>();
-    #[allow(deprecated)]
-    assert_error::<mira_core::archive::ArchiveError>();
     assert_error::<mira_core::Error>();
     assert_error::<mira_ops_cli::CliError>();
 }

@@ -12,7 +12,9 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use mira_core::obs::keys;
-use mira_core::{Date, Duration, ObsMode, Recorder, SimConfig, SimTime, Simulation, SweepSummary};
+use mira_core::{
+    Date, Duration, ObsMode, Recorder, SimConfig, SimTime, Simulation, SweepStep, SweepSummary,
+};
 
 fn sim() -> &'static Simulation {
     static SIM: OnceLock<Simulation> = OnceLock::new();
@@ -23,6 +25,15 @@ fn at(date: Date) -> SimTime {
     SimTime::from_date(date)
 }
 
+/// The cold reference: one instant computed from a fresh scratch, so no
+/// cursor or memo state carries over from any earlier instant.
+fn cold_step(t: SimTime) -> SweepStep {
+    let engine = sim().telemetry();
+    let mut scratch = engine.sweep_scratch();
+    engine.sweep_step_into(t, &mut scratch);
+    scratch.into_step()
+}
+
 /// A warm scratch equals a cold step at every probed instant. The probe
 /// order deliberately jumps backwards across the Theta boundary so any
 /// stale validity window would be caught.
@@ -31,10 +42,7 @@ fn assert_scratch_matches_cold(times: &[SimTime]) {
     let mut scratch = engine.sweep_scratch();
     for &t in times {
         engine.sweep_step_into(t, &mut scratch);
-        // The deprecated one-shot is exactly the cold reference needed
-        // here: a fresh scratch per call.
-        #[allow(deprecated)]
-        let cold = engine.sweep_step(t);
+        let cold = cold_step(t);
         assert_eq!(*scratch.step(), cold, "scratch diverged at {t:?}");
         // `PartialEq` on f64 conflates 0.0 with -0.0; the debug
         // rendering does not, so compare that too.
@@ -159,8 +167,11 @@ fn scratch_matches_cold_at_timeline_edges() {
     assert_scratch_matches_cold(&times);
 }
 
-/// A quarter-long sweep through the plan (warm scratch per shard) must
-/// produce the exact same `SweepSummary` as hand-folding cold steps.
+/// A quarter-long sweep through the plan (warm scratch per worker,
+/// 16-instant blocks) must produce the exact same `SweepSummary` as
+/// folding every instant as its own 1-instant block from a fresh
+/// scratch. This pins both the scratch reuse and the fold's loop
+/// interchange across block cuts.
 #[test]
 fn plan_summary_equals_cold_fold_over_theta_quarter() {
     let from = at(Date::new(2016, 6, 1));
@@ -176,25 +187,25 @@ fn plan_summary_equals_cold_fold_over_theta_quarter() {
 
     // Replicate the plan's calendar-month shard-and-merge structure
     // (it is a pure function of the span, identical at every thread
-    // count) but feed it cold per-step results instead of the warm
+    // count) but feed it cold 1-instant blocks instead of the warm
     // scratch the executor uses.
     let engine = sim().telemetry();
     let mut partials: Vec<SweepSummary> = Vec::new();
     let mut month = u8::MAX;
     let mut t = from;
     while t < to {
-        // Cold per-step reference, deliberately not scratch-warm.
-        #[allow(deprecated)]
-        let step_result = engine.sweep_step(t);
-        let m = step_result.civil.date.month().number();
+        let mut scratch = engine.sweep_scratch();
+        engine.sweep_steps_into(t, step, 1, &mut scratch);
+        let m = scratch.block().time(0).date().month().number();
         if m != month {
             partials.push(SweepSummary::empty((from, to), step));
             month = m;
         }
+        let (block, staging) = scratch.block_parts();
         partials
             .last_mut()
             .expect("pushed above")
-            .record(&step_result);
+            .record_block(block, staging);
         t += step;
     }
     let mut cold = partials.remove(0);
@@ -204,6 +215,9 @@ fn plan_summary_equals_cold_fold_over_theta_quarter() {
     let cold = Recorder::finish(cold);
 
     assert_eq!(planned, cold);
+    // `PartialEq` on f64 conflates 0.0 with -0.0; the debug rendering
+    // does not.
+    assert_eq!(format!("{planned:?}"), format!("{cold:?}"));
 }
 
 /// The hydraulic-solve memo counters are a pure function of the sweep
