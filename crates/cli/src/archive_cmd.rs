@@ -50,6 +50,8 @@ pub struct RowEmitter<W: Write> {
     format: OutputFormat,
     rows: usize,
     header_written: bool,
+    /// One rendered row, reused for every row.
+    line: Vec<u8>,
 }
 
 impl<W: Write> RowEmitter<W> {
@@ -62,6 +64,7 @@ impl<W: Write> RowEmitter<W> {
             format,
             rows: 0,
             header_written: false,
+            line: Vec::new(),
         }
     }
 
@@ -80,10 +83,13 @@ impl<W: Write> RowEmitter<W> {
     /// Propagates writer errors.
     pub fn row(&mut self, rec: &TelemetryRecord) -> io::Result<()> {
         self.header_if_needed()?;
+        self.line.clear();
         match self.format {
-            OutputFormat::Text => writeln!(self.w, "{}", rec.csv_row())?,
-            OutputFormat::Json => writeln!(self.w, "{}", rec.ndjson_row())?,
+            OutputFormat::Text => rec.write_csv(&mut self.line),
+            OutputFormat::Json => rec.write_ndjson(&mut self.line),
         }
+        self.line.push(b'\n');
+        self.w.write_all(&self.line)?;
         self.rows += 1;
         Ok(())
     }

@@ -61,9 +61,13 @@ GLOBAL FLAGS:
   thread count produces bit-identical results.
 ";
 
-fn simulation(args: &ArgMap) -> Result<Simulation, CliError> {
+fn sim_config(args: &ArgMap) -> Result<SimConfig, CliError> {
     let seed = args.get_parsed("seed", 2014u64)?;
-    Ok(Simulation::new(SimConfig::with_seed(seed)))
+    Ok(SimConfig::with_seed(seed))
+}
+
+fn simulation(args: &ArgMap) -> Result<Simulation, CliError> {
+    Ok(Simulation::new(sim_config(args)?))
 }
 
 /// `mira-ops failures`
@@ -145,17 +149,28 @@ pub fn sample(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// The `--step-min` flag (default 5) as a positive sampling step. A
-/// value whose length in seconds overflows is a usage error, not a
-/// wrapped negative step.
+/// step longer than the simulated span is a usage error: it samples
+/// nothing, and the incremental sweep would walk calendar months for
+/// ever to find its next boundary. So is a step whose length in
+/// seconds overflows, rather than a wrapped negative step.
 fn step_flag(args: &ArgMap) -> Result<Duration, CliError> {
     let step_min: i64 = args.get_parsed("step-min", 5i64)?;
     if step_min <= 0 {
         return Err(err("--step-min must be positive"));
     }
-    let secs = step_min
+    let (from, to) = sim_config(args)?.span();
+    let span = to - from;
+    let step = step_min
         .checked_mul(60)
-        .ok_or_else(|| err("--step-min is too large"))?;
-    Ok(Duration::from_seconds(secs))
+        .map(Duration::from_seconds)
+        .filter(|step| step.as_seconds() <= span.as_seconds())
+        .ok_or_else(|| {
+            err(format!(
+                "--step-min is too large: the simulated span is {} minutes",
+                span.as_seconds() / 60
+            ))
+        })?;
+    Ok(step)
 }
 
 /// `mira-ops export --from ... --to ... [--step-min 5] [--out file]
@@ -644,6 +659,41 @@ mod tests {
         let e = serve_with_input(&map, &b""[..], &mut out).unwrap_err();
         assert!(e.to_string().contains("positive"));
         assert_eq!(e.exit_code(), 2);
+    }
+
+    #[test]
+    fn step_longer_than_the_span_is_a_usage_error() {
+        // 1e17 minutes fits in i64 seconds, but no grid over the
+        // simulated span has a second instant: serve's ingest would
+        // walk calendar months toward it without end.
+        let huge = "100000000000000000";
+        let map = ArgMap::parse(["--step-min", huge].iter().map(ToString::to_string)).unwrap();
+        let mut out = Vec::new();
+        let script = &b"{\"cmd\":\"ingest\",\"steps\":2,\"id\":1}\n"[..];
+        let e = serve_with_input(&map, script, &mut out).unwrap_err();
+        assert!(e.to_string().contains("too large"), "{e}");
+        assert_eq!(e.exit_code(), 2);
+
+        let e = run_cmd(
+            "export",
+            &[
+                "--from",
+                "2015-01-01",
+                "--to",
+                "2015-01-02",
+                "--step-min",
+                huge,
+            ],
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("too large"), "{e}");
+        assert_eq!(e.exit_code(), 2);
+
+        // A step of exactly the span is still accepted.
+        let (from, to) = SimConfig::default().span();
+        let whole = ((to - from).as_seconds() / 60).to_string();
+        let map = ArgMap::parse(["--step-min", &whole].iter().map(ToString::to_string)).unwrap();
+        assert!(step_flag(&map).is_ok());
     }
 
     #[test]

@@ -9,17 +9,19 @@
 //! (`time,rack,kind,severity`), both round-trippable.
 //!
 //! Every row passes through [`mira_store::TelemetryRecord`] — values
-//! quantized to milli-units through the same `{:.3}` rendering the
-//! exports use — so a sweep exported live, a CSV file read back, and a
-//! columnar archive scanned with [`mira_store::Archive::scan_span`]
-//! all produce byte-identical text.
+//! quantized to milli-units by exact integer rounding equal to the
+//! `{:.3}` rendering, and rendered by its one writer
+//! ([`TelemetryRecord::write_csv`] / [`TelemetryRecord::write_ndjson`])
+//! — so a sweep exported live, a CSV file read back, and a columnar
+//! archive scanned with [`mira_store::Archive::scan_span`] all produce
+//! byte-identical text.
 
 use std::io::{BufRead, Write};
 
 use mira_cooling::CoolantMonitorSample;
 use mira_ras::RasEvent;
-use mira_store::csvfile::{parse_ras_row, parse_telemetry_row};
-use mira_store::{ras_csv_row, StoreError, TelemetryRecord};
+use mira_store::csvfile::{for_each_row, parse_ras_row, parse_telemetry_row};
+use mira_store::TelemetryRecord;
 use mira_timeseries::{Duration, SimTime};
 use mira_units::convert;
 
@@ -44,9 +46,15 @@ pub fn write_telemetry_csv<W: Write>(
     samples: impl IntoIterator<Item = CoolantMonitorSample>,
 ) -> Result<usize, Error> {
     writeln!(w, "{TELEMETRY_HEADER}")?;
+    let mut line = Vec::new();
     let mut rows = 0;
     for s in samples {
-        writeln!(w, "{}", TelemetryRecord::from_sample(&s).csv_row())?;
+        write_line(
+            &mut w,
+            &mut line,
+            &TelemetryRecord::from_sample(&s),
+            TelemetryRecord::write_csv,
+        )?;
         rows += 1;
     }
     Ok(rows)
@@ -56,28 +64,20 @@ pub fn write_telemetry_csv<W: Write>(
 ///
 /// # Errors
 ///
-/// Returns [`Error::Store`] carrying [`StoreError::Parse`] on
-/// malformed rows and [`StoreError::Io`] on reader failures.
+/// Returns [`Error::Store`] carrying
+/// [`StoreError::Parse`](mira_store::StoreError::Parse) on malformed
+/// rows and [`StoreError::Io`](mira_store::StoreError::Io) on reader
+/// failures.
 pub fn read_telemetry_csv<R: BufRead>(r: R) -> Result<Vec<CoolantMonitorSample>, Error> {
     let mut out = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
-        if idx == 0 {
-            if line.trim() != TELEMETRY_HEADER {
-                return Err(parse_err(lineno, "unexpected telemetry header"));
-            }
-            continue;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_telemetry_row(&line, lineno)?.to_sample());
-    }
+    for_each_row(r, TELEMETRY_HEADER, parse_telemetry_row, |rec| {
+        out.push(rec.to_sample());
+    })?;
     Ok(out)
 }
 
 /// Streams a telemetry sweep straight to CSV without buffering samples.
+/// Every row renders into one reused line buffer.
 ///
 /// # Errors
 ///
@@ -96,13 +96,10 @@ pub fn export_sweep<W: Write>(
     assert!(from < to, "empty export span");
     assert!(step.as_seconds() > 0, "step must be positive");
     writeln!(w, "{TELEMETRY_HEADER}")?;
-    let mut rows = 0;
-    sweep_records(engine, from, to, step, |rec| -> Result<(), Error> {
-        writeln!(w, "{}", rec.csv_row())?;
-        rows += 1;
-        Ok(())
-    })?;
-    Ok(rows)
+    let mut line = Vec::new();
+    sweep_records(engine, from, to, step, |rec| {
+        write_line(&mut w, &mut line, rec, TelemetryRecord::write_csv)
+    })
 }
 
 /// Streams a telemetry sweep as newline-delimited JSON: one object per
@@ -126,13 +123,25 @@ pub fn export_sweep_ndjson<W: Write>(
 ) -> Result<usize, Error> {
     assert!(from < to, "empty export span");
     assert!(step.as_seconds() > 0, "step must be positive");
-    let mut rows = 0;
-    sweep_records(engine, from, to, step, |rec| -> Result<(), Error> {
-        writeln!(w, "{}", rec.ndjson_row())?;
-        rows += 1;
-        Ok(())
-    })?;
-    Ok(rows)
+    let mut line = Vec::new();
+    sweep_records(engine, from, to, step, |rec| {
+        write_line(&mut w, &mut line, rec, TelemetryRecord::write_ndjson)
+    })
+}
+
+/// Renders `row` into the reused `line` buffer with a trailing newline
+/// and writes it.
+fn write_line<T, W: Write>(
+    w: &mut W,
+    line: &mut Vec<u8>,
+    row: &T,
+    render: impl Fn(&T, &mut Vec<u8>),
+) -> Result<(), Error> {
+    line.clear();
+    render(row, line);
+    line.push(b'\n');
+    w.write_all(line)?;
+    Ok(())
 }
 
 /// Walks the sweep grid `[from, to)` × all racks in deterministic
@@ -199,9 +208,10 @@ pub fn write_ras_csv<'a, W: Write>(
     events: impl IntoIterator<Item = &'a RasEvent>,
 ) -> Result<usize, Error> {
     writeln!(w, "{RAS_HEADER}")?;
+    let mut line = Vec::new();
     let mut rows = 0;
     for e in events {
-        writeln!(w, "{}", ras_csv_row(e))?;
+        write_line(&mut w, &mut line, e, mira_store::write_ras_csv)?;
         rows += 1;
     }
     Ok(rows)
@@ -211,38 +221,20 @@ pub fn write_ras_csv<'a, W: Write>(
 ///
 /// # Errors
 ///
-/// Returns [`Error::Store`] carrying [`StoreError::Parse`] on
-/// malformed rows.
+/// Returns [`Error::Store`] carrying
+/// [`StoreError::Parse`](mira_store::StoreError::Parse) on malformed
+/// rows.
 pub fn read_ras_csv<R: BufRead>(r: R) -> Result<Vec<RasEvent>, Error> {
     let mut out = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
-        if idx == 0 {
-            if line.trim() != RAS_HEADER {
-                return Err(parse_err(lineno, "unexpected RAS header"));
-            }
-            continue;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_ras_row(&line, lineno)?);
-    }
+    for_each_row(r, RAS_HEADER, parse_ras_row, |e| out.push(e))?;
     Ok(out)
-}
-
-fn parse_err(line: usize, message: &str) -> Error {
-    Error::Store(StoreError::Parse {
-        line,
-        message: message.to_string(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulation::{SimConfig, Simulation};
+    use mira_store::StoreError;
     use mira_timeseries::Date;
 
     fn sim() -> Simulation {
@@ -367,7 +359,10 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = parse_err(7, "bad number");
+        let e = Error::Store(StoreError::Parse {
+            line: 7,
+            message: "bad number".into(),
+        });
         assert!(e.to_string().contains("line 7"));
     }
 }

@@ -18,7 +18,7 @@
 //! | `unit-flow` | no raw unit `f64` crossing crates untagged |
 //! | `determinism-taint` | no nondeterminism reachable from sweep/summary |
 //! | `deprecated-call` | no in-workspace calls to deprecated shims |
-//! | `alloc-in-hot-path` | no allocation reachable from the sweep hot roots |
+//! | `alloc-in-hot-path` | no allocation reachable from the sweep and row-text hot roots |
 //! | `cache-purity` | fns feeding memo layers are pure |
 //! | `shared-state-escape` | no shared mutable state under spawned work |
 //! | `lock-order` | no cycle in the workspace lock-acquisition graph |

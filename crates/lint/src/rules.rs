@@ -59,16 +59,21 @@ pub const SANCTIONED_EXECUTOR_FILE: &str = "crates/core/src/sweep.rs";
 pub const DETERMINISM_ROOT_FILES: [&str; 2] =
     ["crates/core/src/sweep.rs", "crates/core/src/summary.rs"];
 
-/// The sweep engine's hot roots for `alloc-in-hot-path`, named as
-/// (crate, self type, fn). Configured, not inferred: "hot" is a
-/// property of the measured per-step profile (BENCH_sweep.json pins
-/// 0 allocs/step), not something a static walk can discover — see
-/// DESIGN.md §10.
-pub const HOT_ROOT_FNS: [(&str, &str, &str); 4] = [
+/// The hot roots for `alloc-in-hot-path`, named as (crate, self type,
+/// fn): the sweep engine, plus the per-row telemetry quantizer and
+/// renderers every export and archive surface runs. Configured, not
+/// inferred: "hot" is a property of the measured profile
+/// (BENCH_sweep.json pins 0 allocs/step; the archive benchmark's
+/// `archive.allocs_per_row` the text path), not something a static
+/// walk can discover — see DESIGN.md §10.
+pub const HOT_ROOT_FNS: [(&str, &str, &str); 7] = [
     ("core", "SweepPlan", "run"),
     ("core", "TelemetryEngine", "sweep_step_into"),
     ("core", "TelemetryEngine", "sweep_steps_into"),
     ("core", "SweepSummary", "record_block"),
+    ("store", "TelemetryRecord", "from_sample"),
+    ("store", "TelemetryRecord", "write_csv"),
+    ("store", "TelemetryRecord", "write_ndjson"),
 ];
 
 /// Crates whose `merge` fns are aggregation hot roots: they run once
@@ -347,8 +352,10 @@ impl Rule {
                  call graph from the configured hot roots (SweepPlan::run, the\n\
                  batched kernel TelemetryEngine::sweep_steps_into and its\n\
                  1-instant form sweep_step_into, the one summary fold\n\
-                 SweepSummary::record_block, and the `merge` aggregation fns\n\
-                 of core/obs/timeseries) and reports any reachable\n\
+                 SweepSummary::record_block, the `merge` aggregation fns\n\
+                 of core/obs/timeseries, and the per-row telemetry text path\n\
+                 TelemetryRecord::from_sample / write_csv / write_ndjson)\n\
+                 and reports any reachable\n\
                  allocation site: heap-container constructors (Vec::new,\n\
                  String::with_capacity, Box::new, ...), `format!`/`vec!`,\n\
                  allocating methods (.to_string, .collect, .to_vec, ...),\n\

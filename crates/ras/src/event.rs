@@ -16,12 +16,20 @@ pub enum Severity {
     Fatal,
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Severity {
+    /// Short log tag for the severity (its `Display` text).
+    #[must_use]
+    pub fn tag(self) -> &'static str {
+        match self {
             Severity::Warn => "warn",
             Severity::Fatal => "fatal",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.tag())
     }
 }
 

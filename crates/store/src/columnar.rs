@@ -47,7 +47,7 @@ use crate::codec::{
     decode_deltas, encode_deltas, read_varint, write_varint, zigzag_decode, zigzag_encode,
 };
 use crate::error::StoreError;
-use crate::record::{Channel, Projection, TelemetryRecord, TELEMETRY_HEADER};
+use crate::record::{ras_csv_len, Channel, Projection, TelemetryRecord, TELEMETRY_HEADER};
 use crate::{Archive, ArchiveStat, ScanStats};
 
 const MAGIC: &[u8; 8] = b"MSTORE1\n";
@@ -88,6 +88,20 @@ pub struct ColumnarArchive {
     csv_bytes: u64,
     data_end: u64,
     synced: bool,
+    scratch: Scratch,
+}
+
+/// Buffers every row group is encoded or decoded through, kept for
+/// the archive's lifetime so appends and scans allocate only while
+/// the buffers grow.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// One encoded row group.
+    group: Vec<u8>,
+    /// One column's delta stream, while encoding.
+    payload: Vec<u8>,
+    /// The group's column values, [`Channel::ALL`] order.
+    columns: [Vec<i64>; 8],
 }
 
 impl ColumnarArchive {
@@ -114,6 +128,7 @@ impl ColumnarArchive {
             csv_bytes: header_bytes(),
             data_end: u64_len(MAGIC.len()),
             synced: false,
+            scratch: Scratch::default(),
         };
         store.write_footer()?;
         Ok(store)
@@ -135,19 +150,22 @@ impl ColumnarArchive {
     }
 
     fn flush_group(&mut self, take: usize) -> Result<(), StoreError> {
-        if take == 0 {
+        let rows = self.pending.get(..take).unwrap_or_default();
+        if rows.is_empty() {
             return Ok(());
         }
-        let rows: Vec<TelemetryRecord> = self.pending.drain(..take).collect();
-        let row_count = rows.len();
-        let mut buf = Vec::new();
-        write_varint(&mut buf, u64_len(row_count));
+        let Scratch {
+            group,
+            payload,
+            columns,
+        } = &mut self.scratch;
+        group.clear();
+        write_varint(group, u64_len(rows.len()));
 
         let mut t_min = i64::MAX;
         let mut t_max = i64::MIN;
         let mut zones = [(0i64, 0i64); 6];
-        let mut column = Vec::with_capacity(row_count);
-        for ch in Channel::ALL {
+        for (ch, column) in Channel::ALL.into_iter().zip(columns.iter_mut()) {
             column.clear();
             match ch.value_index() {
                 None if ch == Channel::Time => {
@@ -171,25 +189,28 @@ impl ColumnarArchive {
                     *z = (lo, hi);
                 }
             }
-            let mut payload = Vec::new();
-            encode_deltas(&column, &mut payload);
-            write_varint(&mut buf, u64_len(payload.len()));
-            write_varint(&mut buf, zigzag_encode(lo));
-            write_varint(&mut buf, zigzag_encode(hi));
-            buf.extend_from_slice(&payload);
+            payload.clear();
+            encode_deltas(column, payload);
+            write_varint(group, u64_len(payload.len()));
+            write_varint(group, zigzag_encode(lo));
+            write_varint(group, zigzag_encode(hi));
+            group.extend_from_slice(payload);
         }
+        let row_count = u64_len(rows.len());
+        let group_len = u64_len(group.len());
 
         self.file.seek(SeekFrom::Start(self.data_end))?;
-        self.file.write_all(&buf)?;
+        self.file.write_all(group)?;
+        self.pending.drain(..take);
         self.groups.push(GroupMeta {
             offset: self.data_end,
-            len: u64_len(buf.len()),
-            rows: u64_len(row_count),
+            len: group_len,
+            rows: row_count,
             t_min,
             t_max,
             zones,
         });
-        self.data_end += u64_len(buf.len());
+        self.data_end += group_len;
         self.synced = false;
         Ok(())
     }
@@ -253,17 +274,15 @@ impl ColumnarArchive {
         }
         Ok(())
     }
+}
 
-    fn read_group(&mut self, index: usize, buf: &mut Vec<u8>) -> Result<GroupMeta, StoreError> {
-        let Some(meta) = self.groups.get(index).copied() else {
-            return Err(StoreError::corrupt(0, format!("no such group {index}")));
-        };
-        buf.clear();
-        buf.resize(usize_len(meta.len), 0);
-        self.file.seek(SeekFrom::Start(meta.offset))?;
-        self.file.read_exact(buf)?;
-        Ok(meta)
-    }
+/// Reads one row group's bytes into `buf`.
+fn read_group(file: &mut File, meta: GroupMeta, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+    buf.clear();
+    buf.resize(usize_len(meta.len), 0);
+    file.seek(SeekFrom::Start(meta.offset))?;
+    file.read_exact(buf)?;
+    Ok(())
 }
 
 impl Drop for ColumnarArchive {
@@ -465,6 +484,7 @@ fn open_columnar(path: &Path) -> Result<ColumnarArchive, StoreError> {
         csv_bytes,
         data_end: footer_start,
         synced: true,
+        scratch: Scratch::default(),
     })
 }
 
@@ -475,7 +495,7 @@ impl Archive for ColumnarArchive {
 
     fn append_telemetry(&mut self, rows: &[TelemetryRecord]) -> Result<(), StoreError> {
         for row in rows {
-            self.csv_bytes += u64_len(row.csv_row().len() + 1);
+            self.csv_bytes += u64_len(row.csv_len() + 1);
             self.pending.push(*row);
             self.synced = false;
         }
@@ -487,7 +507,7 @@ impl Archive for ColumnarArchive {
 
     fn append_ras(&mut self, events: &[RasEvent]) -> Result<(), StoreError> {
         for e in events {
-            self.csv_bytes += u64_len(ras_csv_row(e).len() + 1);
+            self.csv_bytes += u64_len(ras_csv_len(e) + 1);
             self.ras.push(*e);
             self.synced = false;
         }
@@ -507,12 +527,12 @@ impl Archive for ColumnarArchive {
             groups_total: u64_len(self.groups.len()),
             ..ScanStats::default()
         };
-        let mut buf = Vec::new();
-        let mut columns: Vec<Vec<i64>> = vec![Vec::new(); Channel::ALL.len()];
-        for gi in 0..self.groups.len() {
-            let Some(meta) = self.groups.get(gi).copied() else {
-                continue;
-            };
+        let Scratch {
+            group: buf,
+            columns,
+            ..
+        } = &mut self.scratch;
+        for (gi, meta) in self.groups.iter().copied().enumerate() {
             // Zone-map pruning: skip any group whose time range misses
             // the half-open query span entirely.
             if meta.t_max < from_s || meta.t_min >= to_s {
@@ -520,13 +540,13 @@ impl Archive for ColumnarArchive {
             }
             stats.groups_scanned += 1;
             stats.bytes_read += meta.len;
-            let meta = self.read_group(gi, &mut buf)?;
+            read_group(&mut self.file, meta, buf)?;
             let mut pos = 0usize;
             let block_err = |pos: usize, ch: Option<Channel>, message: String| {
                 StoreError::corrupt_block(meta.offset + u64_len(pos), group_id(gi), ch, message)
             };
             let rows = usize_len(
-                read_varint(&buf, &mut pos)
+                read_varint(buf, &mut pos)
                     .map_err(|e| block_err(e.offset, None, e.message.to_string()))?,
             );
             if rows != usize_len(meta.rows) {
@@ -538,12 +558,12 @@ impl Archive for ColumnarArchive {
             }
             for (ci, ch) in Channel::ALL.iter().enumerate() {
                 let payload_len = usize_len(
-                    read_varint(&buf, &mut pos)
+                    read_varint(buf, &mut pos)
                         .map_err(|e| block_err(e.offset, Some(*ch), e.message.to_string()))?,
                 );
-                let _zone_lo = read_varint(&buf, &mut pos)
+                let _zone_lo = read_varint(buf, &mut pos)
                     .map_err(|e| block_err(e.offset, Some(*ch), e.message.to_string()))?;
-                let _zone_hi = read_varint(&buf, &mut pos)
+                let _zone_hi = read_varint(buf, &mut pos)
                     .map_err(|e| block_err(e.offset, Some(*ch), e.message.to_string()))?;
                 let Some(column) = columns.get_mut(ci) else {
                     continue;
@@ -658,17 +678,4 @@ impl Archive for ColumnarArchive {
     fn flush(&mut self) -> Result<(), StoreError> {
         self.commit()
     }
-}
-
-/// Renders a RAS event as its CSV row (no newline) — the accounting
-/// basis for the equivalent-CSV size and the text backend's format.
-#[must_use]
-pub fn ras_csv_row(e: &RasEvent) -> String {
-    format!(
-        "{},{},{},{}",
-        e.time.epoch_seconds(),
-        e.rack,
-        e.kind.tag(),
-        e.severity
-    )
 }

@@ -16,7 +16,8 @@
 //!   oracles.
 //!
 //! All backends speak [`TelemetryRecord`] — channel values quantized
-//! to milli-units *through* the `{:.3}` rendering the exports use — so
+//! to milli-units by exact integer rounding equal to the `{:.3}`
+//! rendering the exports use — so
 //! a span scanned from the columnar store, from CSV, or from a live
 //! simulation re-renders byte-identical output.
 
@@ -34,13 +35,13 @@ use mira_ras::RasEvent;
 use mira_timeseries::SimTime;
 use mira_units::convert;
 
-pub use columnar::{ras_csv_row, ColumnarArchive, DEFAULT_GROUP_ROWS};
+pub use columnar::{ColumnarArchive, DEFAULT_GROUP_ROWS};
 pub use csvfile::CsvArchive;
 pub use error::StoreError;
 pub use mem::MemArchive;
 pub use record::{
-    f64_from_milli, format_milli, milli_from_f64, milli_from_str, Channel, Projection,
-    TelemetryRecord, TELEMETRY_HEADER,
+    f64_from_milli, format_milli, milli_from_f64, milli_from_str, write_ras_csv, Channel,
+    Projection, TelemetryRecord, TELEMETRY_HEADER,
 };
 
 /// The RAS CSV header shared by the CSV backend and the core exports.

@@ -1,15 +1,17 @@
 //! The canonical telemetry row model shared by every archive backend.
 //!
 //! Channel values are held as **milli-units** (`i64`, three implied
-//! decimals) derived from the same `{:.3}` rendering the CSV and
-//! NDJSON exports use. Quantizing *through the rendered string* is the
+//! decimals), rounded from the float by exact integer arithmetic to
+//! the very integer the `{:.3}` rendering shows. That equality is the
 //! backbone of the byte-identity guarantee: a row written to CSV, a
-//! row packed into the columnar store, and a row re-simulated all pass
-//! through the identical decimal text, so any export path re-renders
-//! the exact same bytes.
+//! row packed into the columnar store, and a row re-simulated all hold
+//! the same integers, and one renderer
+//! ([`TelemetryRecord::write_csv`] / [`TelemetryRecord::write_ndjson`])
+//! turns them into the exact `{:.3}` text on every export path.
 
 use mira_cooling::CoolantMonitorSample;
 use mira_facility::RackId;
+use mira_ras::RasEvent;
 use mira_timeseries::SimTime;
 use mira_units::{convert, Fahrenheit, Gpm, Kilowatts, RelHumidity};
 
@@ -150,10 +152,21 @@ pub struct TelemetryRecord {
     pub time: SimTime,
     /// Sampled rack.
     pub rack: RackId,
-    /// Channel values in milli-units (value × 1000, quantized through
-    /// the `{:.3}` rendering), [`Channel::VALUES`] order.
+    /// Channel values in milli-units (value × 1000, rounded exactly as
+    /// `{:.3}` rounds), [`Channel::VALUES`] order.
     pub milli: [i64; 6],
 }
+
+/// The NDJSON key prefix in front of each value channel, in
+/// [`Channel::VALUES`] order.
+const NDJSON_VALUE_KEYS: [&[u8]; 6] = [
+    b",\"dc_temp_f\":",
+    b",\"dc_rh\":",
+    b",\"flow_gpm\":",
+    b",\"inlet_f\":",
+    b",\"outlet_f\":",
+    b",\"power_kw\":",
+];
 
 impl TelemetryRecord {
     /// Quantizes a live sample into its archived form — the same
@@ -199,61 +212,117 @@ impl TelemetryRecord {
             .and_then(|i| self.milli.get(i).copied())
     }
 
+    /// Appends this row's CSV line (no trailing newline) to `buf`:
+    /// `time,(r, X),v,v,v,v,v,v`, each value in its `{:.3}` text.
+    /// Nothing is allocated beyond `buf`'s own growth, so a caller
+    /// that reuses one buffer renders rows allocation-free.
+    pub fn write_csv(&self, buf: &mut Vec<u8>) {
+        push_i64(buf, self.time.epoch_seconds());
+        buf.push(b',');
+        push_rack(buf, self.rack);
+        for m in self.milli {
+            buf.push(b',');
+            push_milli(buf, m);
+        }
+    }
+
+    /// Appends this row's NDJSON object (no trailing newline) to
+    /// `buf`, with the CSV row's fields and values under their
+    /// [`Channel::tag`] keys.
+    pub fn write_ndjson(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"{\"time\":");
+        push_i64(buf, self.time.epoch_seconds());
+        buf.extend_from_slice(b",\"rack\":\"");
+        push_rack(buf, self.rack);
+        buf.push(b'"');
+        for (key, m) in NDJSON_VALUE_KEYS.iter().zip(self.milli) {
+            buf.extend_from_slice(key);
+            push_milli(buf, m);
+        }
+        buf.push(b'}');
+    }
+
+    /// The byte length of [`TelemetryRecord::write_csv`]'s output,
+    /// counted from digit counts without rendering.
+    #[must_use]
+    pub fn csv_len(&self) -> usize {
+        let values: usize = self.milli.iter().map(|m| 1 + milli_len(*m)).sum();
+        i64_len(self.time.epoch_seconds()) + 1 + rack_len(self.rack) + values
+    }
+
     /// This row as a CSV line (no trailing newline), byte-identical to
     /// the `{:.3}`-rendered export row.
     #[must_use]
     pub fn csv_row(&self) -> String {
-        let m = &self.milli;
-        let f = |i: usize| m.get(i).map_or_else(String::new, |v| format_milli(*v));
-        format!(
-            "{},{},{},{},{},{},{},{}",
-            self.time.epoch_seconds(),
-            self.rack,
-            f(0),
-            f(1),
-            f(2),
-            f(3),
-            f(4),
-            f(5),
-        )
+        let mut buf = Vec::with_capacity(self.csv_len());
+        self.write_csv(&mut buf);
+        ascii_string(buf)
     }
 
     /// This row as an NDJSON object (no trailing newline), matching
     /// the NDJSON telemetry export byte for byte.
     #[must_use]
     pub fn ndjson_row(&self) -> String {
-        let m = &self.milli;
-        let f = |i: usize| m.get(i).map_or_else(String::new, |v| format_milli(*v));
-        format!(
-            "{{\"time\":{},\"rack\":\"{}\",\"dc_temp_f\":{},\"dc_rh\":{},\
-             \"flow_gpm\":{},\"inlet_f\":{},\"outlet_f\":{},\"power_kw\":{}}}",
-            self.time.epoch_seconds(),
-            self.rack,
-            f(0),
-            f(1),
-            f(2),
-            f(3),
-            f(4),
-            f(5),
-        )
+        // The keys and braces add 81 bytes to the CSV line's length.
+        let mut buf = Vec::with_capacity(self.csv_len() + 81);
+        self.write_ndjson(&mut buf);
+        ascii_string(buf)
     }
 }
 
-/// Quantizes a float to milli-units through its `{:.3}` rendering, so
-/// the quantized integer re-renders to the identical decimal text.
-/// Non-finite values quantize to `0`; magnitudes beyond ±4e15 clamp
-/// (far outside any physical channel range). `-0.0005 < v <= -0.0`
-/// renders as `-0.000` but quantizes to plain `0` (integers carry no
-/// negative zero); [`format_milli`] therefore emits `0.000` — both
-/// export paths share this normalization, so identity still holds.
+/// Quantizes a float to milli-units by exact integer rounding — the
+/// integer `{:.3}` renders, so the quantized value re-renders to the
+/// identical decimal text.
+///
+/// The float is taken apart into `mantissa · 2^-shift`, the mantissa
+/// multiplied by 1000, and the `shift` low bits rounded off half to
+/// even, which is how `{:.3}` breaks the exact ties (the odd
+/// sixteenths: `0.0625` renders `0.062`). Non-finite values quantize
+/// to `0`; magnitudes beyond ±4e15 clamp (far outside any physical
+/// channel range). `-0.0005 < v <= -0.0` renders as `-0.000` but
+/// quantizes to plain `0` (integers carry no negative zero);
+/// [`format_milli`] therefore emits `0.000` — every export path shares
+/// this normalization, so identity still holds.
 #[must_use]
 pub fn milli_from_f64(v: f64) -> i64 {
-    let v = if v.is_finite() {
-        v.clamp(-4.0e15, 4.0e15)
+    if !v.is_finite() {
+        return 0;
+    }
+    let bits = v.clamp(-4.0e15, 4.0e15).to_bits();
+    let biased_exp = (bits >> 52) & 0x7ff;
+    let fraction = bits & ((1 << 52) - 1);
+    // Subnormals (biased exponent 0) carry no implicit bit and share
+    // the smallest normal exponent.
+    let mantissa = if biased_exp == 0 {
+        fraction
     } else {
-        0.0
+        fraction | (1 << 52)
     };
-    milli_from_canonical(&format!("{v:.3}")).unwrap_or(0)
+    // |v| = mantissa · 2^-shift. The clamp keeps |v| < 2^52, so the
+    // binary point always sits inside the mantissa: shift >= 1.
+    let shift = 1075u64.saturating_sub(biased_exp.max(1)).max(1);
+    // mantissa < 2^53, so the product stays below 2^63.
+    let scaled = mantissa * 1000;
+    let magnitude = if shift >= 64 {
+        // The half-unit 2^(shift-1) exceeds `scaled`: rounds to zero.
+        0
+    } else {
+        let quotient = scaled >> shift;
+        let remainder = scaled & ((1 << shift) - 1);
+        let half = 1u64 << (shift - 1);
+        if remainder > half || (remainder == half && quotient & 1 == 1) {
+            quotient + 1
+        } else {
+            quotient
+        }
+    };
+    // magnitude <= 4e18 < i64::MAX, so the conversion cannot fail.
+    let magnitude = i64::try_from(magnitude).unwrap_or(i64::MAX);
+    if bits >> 63 == 1 {
+        -magnitude
+    } else {
+        magnitude
+    }
 }
 
 /// Parses a decimal field into milli-units. Canonical fields
@@ -270,26 +339,31 @@ pub fn milli_from_str(s: &str) -> Option<i64> {
     }
 }
 
+/// `[-]digits[.frac]` with at most three fractional digits, converted
+/// digit by digit; `None` for any other shape or on overflow.
 fn milli_from_canonical(t: &str) -> Option<i64> {
     let (neg, body) = match t.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, t),
     };
-    let (int_part, frac_part) = match body.split_once('.') {
-        Some((i, f)) => (i, f),
-        None => (body, ""),
-    };
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    if !digits(int_part) || frac_part.len() > 3 || !(frac_part.is_empty() || digits(frac_part)) {
+    let (int_part, frac_part) = body.split_once('.').unwrap_or((body, ""));
+    if int_part.is_empty() || frac_part.len() > 3 {
         return None;
     }
-    let int: i64 = int_part.parse().ok()?;
-    let frac: i64 = if frac_part.is_empty() {
-        0
-    } else {
-        format!("{frac_part:0<3}").parse().ok()?
-    };
-    let magnitude = int.checked_mul(1000)?.checked_add(frac)?;
+    let digit = |b: u8| b.is_ascii_digit().then(|| i64::from(b - b'0'));
+    let mut magnitude = 0i64;
+    for b in int_part.bytes() {
+        magnitude = magnitude.checked_mul(10)?.checked_add(digit(b)?)?;
+    }
+    // Right-pad the fraction to three digits: "5" is 500 milli.
+    let mut frac = frac_part.bytes();
+    for _ in 0..3 {
+        let d = match frac.next() {
+            Some(b) => digit(b)?,
+            None => 0,
+        };
+        magnitude = magnitude.checked_mul(10)?.checked_add(d)?;
+    }
     Some(if neg { -magnitude } else { magnitude })
 }
 
@@ -297,9 +371,109 @@ fn milli_from_canonical(t: &str) -> Option<i64> {
 /// quantized from.
 #[must_use]
 pub fn format_milli(m: i64) -> String {
-    let sign = if m < 0 { "-" } else { "" };
+    let mut buf = Vec::with_capacity(milli_len(m));
+    push_milli(&mut buf, m);
+    ascii_string(buf)
+}
+
+/// Appends a RAS event's CSV row (no trailing newline) to `buf`:
+/// `time,(r, X),KIND,severity` — the text backend's RAS format, and
+/// the basis of the columnar store's equivalent-CSV accounting.
+pub fn write_ras_csv(e: &RasEvent, buf: &mut Vec<u8>) {
+    push_i64(buf, e.time.epoch_seconds());
+    buf.push(b',');
+    push_rack(buf, e.rack);
+    buf.push(b',');
+    buf.extend_from_slice(e.kind.tag().as_bytes());
+    buf.push(b',');
+    buf.extend_from_slice(e.severity.tag().as_bytes());
+}
+
+/// The byte length of [`write_ras_csv`]'s output, counted without
+/// rendering.
+#[must_use]
+pub(crate) fn ras_csv_len(e: &RasEvent) -> usize {
+    i64_len(e.time.epoch_seconds())
+        + rack_len(e.rack)
+        + e.kind.tag().len()
+        + e.severity.tag().len()
+        + 3
+}
+
+/// Uppercase hex digits, the `{:X}` alphabet of rack columns.
+const HEX_DIGITS: &[u8; 16] = b"0123456789ABCDEF";
+
+/// Appends `n` in decimal.
+fn push_u64(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + u8::try_from(n % 10).unwrap_or(0);
+        start -= 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(digits.get(start..).unwrap_or_default());
+}
+
+/// Appends `n` in decimal, `-` first when negative.
+fn push_i64(buf: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        buf.push(b'-');
+    }
+    push_u64(buf, n.unsigned_abs());
+}
+
+/// Appends milli-units as `[-]int.fff`.
+fn push_milli(buf: &mut Vec<u8>, m: i64) {
+    if m < 0 {
+        buf.push(b'-');
+    }
     let a = m.unsigned_abs();
-    format!("{sign}{}.{:03}", a / 1000, a % 1000)
+    push_u64(buf, a / 1000);
+    let frac = a % 1000;
+    let digit = |d: u64| b'0' + u8::try_from(d % 10).unwrap_or(0);
+    buf.extend_from_slice(&[b'.', digit(frac / 100), digit(frac / 10), digit(frac)]);
+}
+
+/// Appends a rack id as its `Display` text, `(row, COLUMN)`.
+fn push_rack(buf: &mut Vec<u8>, rack: RackId) {
+    buf.push(b'(');
+    push_u64(buf, u64::from(rack.row()));
+    buf.extend_from_slice(b", ");
+    let column = rack.column();
+    let hex = |nibble: u8| HEX_DIGITS.get(usize::from(nibble)).copied().unwrap_or(b'0');
+    if column >= 16 {
+        buf.push(hex(column >> 4));
+    }
+    buf.push(hex(column & 0xf));
+    buf.push(b')');
+}
+
+/// Decimal digits in `n`.
+fn u64_len(n: u64) -> usize {
+    n.checked_ilog10()
+        .map_or(1, |d| convert::usize_from_u32(d) + 1)
+}
+
+fn i64_len(n: i64) -> usize {
+    usize::from(n < 0) + u64_len(n.unsigned_abs())
+}
+
+fn milli_len(m: i64) -> usize {
+    usize::from(m < 0) + u64_len(m.unsigned_abs() / 1000) + 4
+}
+
+fn rack_len(rack: RackId) -> usize {
+    // "(" row ", " column ")"
+    4 + u64_len(u64::from(rack.row())) + if rack.column() >= 16 { 2 } else { 1 }
+}
+
+/// The renderers emit ASCII only, so the UTF-8 check always passes.
+fn ascii_string(buf: Vec<u8>) -> String {
+    String::from_utf8(buf).unwrap_or_default()
 }
 
 /// The float a milli-unit value decodes to — identical to parsing its
@@ -372,6 +546,52 @@ mod tests {
         assert_eq!(p.value_count(), 1);
         assert_eq!(Projection::all().value_count(), 6);
         assert_eq!(Projection::keys_only().value_count(), 0);
+    }
+
+    #[test]
+    fn ndjson_keys_are_the_channel_tags() {
+        for (key, ch) in NDJSON_VALUE_KEYS.iter().zip(Channel::VALUES) {
+            assert_eq!(*key, format!(",\"{}\":", ch.tag()).as_bytes());
+        }
+        let rec = TelemetryRecord {
+            time: SimTime::from_epoch_seconds(-5),
+            rack: RackId::new(2, 15),
+            milli: [1, -22, 333, -4_444, 55_555, -666_666],
+        };
+        assert_eq!(rec.ndjson_row().len(), rec.csv_len() + 81);
+    }
+
+    #[test]
+    fn ras_rows_render_and_count_like_display() {
+        use mira_ras::{FailureKind, Severity};
+        for (i, kind) in (0i64..).zip(FailureKind::ALL) {
+            for severity in [Severity::Warn, Severity::Fatal] {
+                let e = RasEvent {
+                    time: SimTime::from_epoch_seconds(-7 + i * 1_000_003),
+                    rack: RackId::from_index(usize::try_from(i * 7).unwrap()),
+                    kind,
+                    severity,
+                };
+                let mut buf = Vec::new();
+                write_ras_csv(&e, &mut buf);
+                let want = format!(
+                    "{},{},{},{severity}",
+                    e.time.epoch_seconds(),
+                    e.rack,
+                    kind.tag()
+                );
+                assert_eq!(buf, want.as_bytes());
+                assert_eq!(ras_csv_len(&e), buf.len());
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ties_round_half_to_even() {
+        assert_eq!(milli_from_f64(0.0625), 62);
+        assert_eq!(milli_from_f64(0.1875), 188);
+        assert_eq!(milli_from_f64(-0.0625), -62);
+        assert_eq!(milli_from_f64(f64::MIN_POSITIVE / 2.0), 0);
     }
 
     #[test]
