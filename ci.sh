@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # The tier-1 gate, in the order fastest-feedback-first:
-#   formatting -> clippy (workspace lints, warnings fatal) -> mira-lint
-#   (domain invariants) -> the test suite.
+#   formatting -> clippy (workspace lints, warnings fatal; rustc's
+#   `deprecated` lint included) -> clippy over library and binary code
+#   (unwrap/expect/panic, lossy casts, float `==`) -> mira-lint (the
+#   domain invariants no off-the-shelf lint can express) -> the test
+#   suite.
 # Run from the workspace root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -12,19 +15,19 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Library and binary code only (`--lib --bins`; `#[cfg(test)]` is not
+# compiled here): tests may unwrap and cast freely, and clippy has no
+# in-tests exemption for casts. A justified site carries
+# `#[allow(clippy::<lint>, reason = "...")]`.
+echo "==> cargo clippy --workspace --lib --bins (panics, casts, float ==)"
+cargo clippy --workspace --lib --bins -- -D warnings \
+  -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic \
+  -D clippy::cast_possible_truncation -D clippy::cast_sign_loss \
+  -D clippy::cast_precision_loss -D clippy::cast_possible_wrap \
+  -D clippy::cast_lossless -D clippy::float_cmp
+
 echo "==> mira-lint"
-lint_start_ns="$(date +%s%N)"
 cargo run -q -p mira-lint
-lint_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
-# Wall-time budget is advisory: timing is machine-dependent, so a slow
-# scan warns instead of failing. Tune via MIRA_LINT_TIME_BUDGET_MS.
-# Re-measured with the v4 concurrency pass: ~0.35 s debug on the CI
-# box, so 15 s still leaves an order of magnitude of headroom.
-lint_budget_ms="${MIRA_LINT_TIME_BUDGET_MS:-15000}"
-echo "    mira-lint scan: ${lint_ms} ms (budget ${lint_budget_ms} ms, warn-only)"
-if [ "$lint_ms" -gt "$lint_budget_ms" ]; then
-  echo "ci: WARNING: mira-lint scan exceeded its wall-time budget" >&2
-fi
 
 # Allowlist drift gate: regenerating from the current findings must
 # reproduce the committed lint-allow.toml exactly. Catches both stale
@@ -32,8 +35,7 @@ fi
 # hand-edits that no longer match reality.
 echo "==> mira-lint allowlist drift"
 fresh_allowlist="$(mktemp)"
-lint_cache="$(mktemp -u)"
-trap 'rm -f "$fresh_allowlist" "$lint_cache"' EXIT
+trap 'rm -f "$fresh_allowlist"' EXIT
 cargo run -q -p mira-lint -- --write-allowlist --allowlist "$fresh_allowlist" >/dev/null
 if ! diff -u lint-allow.toml "$fresh_allowlist"; then
   echo "ci: lint-allow.toml drifted; run: cargo run -p mira-lint -- --write-allowlist" >&2
@@ -42,8 +44,7 @@ fi
 
 # The sharded scan must be worker-count invariant: the full JSON
 # document (findings, order, bytes) may not change between 1, 4, and
-# 8 lint threads. Together with the cache gate below this covers
-# RULE_VERSION 4 (the v4 concurrency rules run under both gates).
+# 8 lint threads.
 echo "==> mira-lint determinism under MIRA_LINT_THREADS=1 vs 4 vs 8"
 lint_one="$(MIRA_LINT_THREADS=1 cargo run -q -p mira-lint -- --format json)"
 lint_four="$(MIRA_LINT_THREADS=4 cargo run -q -p mira-lint -- --format json)"
@@ -55,24 +56,10 @@ if [ "$lint_one" != "$lint_four" ] || [ "$lint_one" != "$lint_eight" ]; then
   exit 1
 fi
 
-# Cache invariance: a cold scan, the scan that populates the cache,
-# and a fully warm scan must all emit the same bytes. A cache that
-# changes findings is worse than no cache.
-echo "==> mira-lint cache invariance (cold vs populate vs warm)"
-lint_cold="$(cargo run -q -p mira-lint -- --format json)"
-lint_populate="$(cargo run -q -p mira-lint -- --format json --cache-file "$lint_cache")"
-lint_warm="$(cargo run -q -p mira-lint -- --format json --cache-file "$lint_cache")"
-if [ "$lint_cold" != "$lint_populate" ] || [ "$lint_cold" != "$lint_warm" ]; then
-  echo "ci: mira-lint cached scan differs from cold scan" >&2
-  diff <(printf '%s' "$lint_cold") <(printf '%s' "$lint_warm") >&2 || true
-  exit 1
-fi
-
 # Every shipped rule must have a non-empty --explain text.
-echo "==> mira-lint --explain smoke (17 rules)"
-for rule in raw-f64-in-public-api no-unwrap-in-lib lossy-cast \
-  nan-unsafe-compare nondeterminism panic-reachability unit-flow \
-  determinism-taint deprecated-call alloc-in-hot-path cache-purity \
+echo "==> mira-lint --explain smoke (13 rules)"
+for rule in raw-f64-in-public-api nondeterminism panic-reachability \
+  unit-flow determinism-taint alloc-in-hot-path cache-purity \
   shared-state-escape lock-order guard-across-blocking \
   guard-across-panic atomic-ordering unjoined-thread; do
   if ! cargo run -q -p mira-lint -- --explain "$rule" | grep -q .; then

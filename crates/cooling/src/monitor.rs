@@ -92,7 +92,7 @@ impl Channel {
     /// Dense index in `0..6`.
     #[must_use]
     pub fn index(self) -> usize {
-        // Dense unit-only enum discriminant. mira-lint: allow(lossy-cast)
+        // Dense unit-only enum discriminant.
         self as usize
     }
 }
@@ -242,7 +242,7 @@ impl CoolantMonitor {
         outlet: Fahrenheit,
         power: Kilowatts,
     ) -> CoolantMonitorSample {
-        let tick = t.epoch_seconds() as u64;
+        let tick = t.epoch_seconds().cast_unsigned();
         // The rack prefix and the tick product are channel-independent;
         // hoisting them halves the hash work on the 48×6-channel sweep
         // hot path without changing a single output bit.
@@ -344,7 +344,7 @@ impl MonitorBank {
     // mira-lint: allow(raw-f64-in-public-api, panic-reachability)
     pub fn observe_lanes(&mut self, t: SimTime, truth: [&[f64]; 6], out: [&mut [f64]; 6]) {
         let lanes = self.lanes;
-        let tick = t.epoch_seconds() as u64;
+        let tick = t.epoch_seconds().cast_unsigned();
         let tick_term = tick.wrapping_mul(0x1656_67B1_9E37_79F9);
         for (c, (tr, o)) in truth.into_iter().zip(out).enumerate() {
             // Documented panic contract: one slot per lane per channel.

@@ -137,7 +137,8 @@ impl PrecursorSignature {
     #[must_use]
     // Dimensionless severity in [0.5, 1.2]. mira-lint: allow(raw-f64-in-public-api)
     pub fn event_severity(&self, rack_index: usize, failure_at_epoch: i64) -> f64 {
-        let mut z = (failure_at_epoch as u64)
+        let mut z = failure_at_epoch
+            .cast_unsigned()
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((rack_index as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
         z = (z ^ (z >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

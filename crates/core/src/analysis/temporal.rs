@@ -142,7 +142,7 @@ fn mean_uplift(rows: &[WeekdayProfile]) -> f64 {
     let Some(monday) = rows.iter().find(|r| r.weekday == Weekday::Monday) else {
         return 0.0;
     };
-    // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+    // Exact-zero divide guard.
     if monday.count == 0 || monday.mean == 0.0 {
         return 0.0;
     }
@@ -152,7 +152,7 @@ fn mean_uplift(rows: &[WeekdayProfile]) -> f64 {
         num += r.mean * convert::f64_from_u64(r.count);
         den += convert::f64_from_u64(r.count);
     }
-    // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+    // Exact-zero divide guard.
     if den == 0.0 {
         return 0.0;
     }

@@ -36,7 +36,7 @@ pub struct RackId {
 impl RackId {
     /// Total number of compute racks.
     // u8 → usize widening cannot lose values; `as` is required in
-    // const context. mira-lint: allow(lossy-cast)
+    // const context.
     pub const COUNT: usize = (ROWS as usize) * (COLUMNS as usize);
 
     /// Creates a rack id.

@@ -1,5 +1,6 @@
 //! Machine-level constants and description.
 
+use mira_units::convert;
 use serde::{Deserialize, Serialize};
 
 use crate::airflow::AirflowMap;
@@ -20,9 +21,7 @@ pub const NODES_PER_BOARD: u32 = 32;
 pub const NODES_PER_RACK: u32 = MIDPLANES_PER_RACK * NODE_BOARDS_PER_MIDPLANE * NODES_PER_BOARD;
 
 /// Nodes in the whole system (48 racks).
-// RackId::COUNT is 48, well inside u32; `as` is required in const
-// context. mira-lint: allow(lossy-cast)
-pub const TOTAL_NODES: u32 = NODES_PER_RACK * RackId::COUNT as u32;
+pub const TOTAL_NODES: u32 = NODES_PER_RACK * convert::u32_from_usize(RackId::COUNT);
 
 /// Cores usable for computation per node (18 on the A2 die, 16 active).
 pub const ACTIVE_CORES_PER_NODE: u32 = 16;

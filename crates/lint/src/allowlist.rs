@@ -6,9 +6,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "lossy-cast"
-//! file = "crates/timeseries/src/stats.rs"
-//! count = 16
+//! rule = "raw-f64-in-public-api"
+//! file = "crates/workload/src/demand.rs"
+//! count = 2
 //! ```
 //!
 //! A file may exceed its budget only by *shrinking*: if the scan finds
@@ -259,19 +259,19 @@ mod tests {
     #[test]
     fn parse_round_trip() {
         let findings = vec![
-            finding(Rule::LossyCast, "crates/a/src/x.rs", 1),
-            finding(Rule::LossyCast, "crates/a/src/x.rs", 2),
-            finding(Rule::NoUnwrapInLib, "crates/b/src/y.rs", 3),
+            finding(Rule::RawF64InPublicApi, "crates/a/src/x.rs", 1),
+            finding(Rule::RawF64InPublicApi, "crates/a/src/x.rs", 2),
+            finding(Rule::Nondeterminism, "crates/b/src/y.rs", 3),
         ];
         let rendered = Allowlist::render(&findings);
         let parsed = Allowlist::parse(&rendered).expect("round trip parses");
         assert_eq!(parsed.len(), 2);
         assert_eq!(
-            parsed.budget(Rule::LossyCast, Path::new("crates/a/src/x.rs")),
+            parsed.budget(Rule::RawF64InPublicApi, Path::new("crates/a/src/x.rs")),
             2
         );
         assert_eq!(
-            parsed.budget(Rule::NoUnwrapInLib, Path::new("crates/b/src/y.rs")),
+            parsed.budget(Rule::Nondeterminism, Path::new("crates/b/src/y.rs")),
             1
         );
         assert_eq!(
@@ -284,13 +284,13 @@ mod tests {
     fn gate_absorbs_within_budget_and_rejects_overflow() {
         let rendered = "\
 [[allow]]
-rule = \"lossy-cast\"
+rule = \"raw-f64-in-public-api\"
 file = \"crates/a/src/x.rs\"
 count = 1
 ";
         let allowlist = Allowlist::parse(rendered).expect("parses");
         let within = gate(
-            vec![finding(Rule::LossyCast, "crates/a/src/x.rs", 1)],
+            vec![finding(Rule::RawF64InPublicApi, "crates/a/src/x.rs", 1)],
             &allowlist,
         );
         assert!(within.rejected.is_empty());
@@ -298,8 +298,8 @@ count = 1
 
         let over = gate(
             vec![
-                finding(Rule::LossyCast, "crates/a/src/x.rs", 1),
-                finding(Rule::LossyCast, "crates/a/src/x.rs", 2),
+                finding(Rule::RawF64InPublicApi, "crates/a/src/x.rs", 1),
+                finding(Rule::RawF64InPublicApi, "crates/a/src/x.rs", 2),
             ],
             &allowlist,
         );
@@ -314,7 +314,7 @@ count = 1
     fn gate_reports_slack_for_fixed_files() {
         let rendered = "\
 [[allow]]
-rule = \"no-unwrap-in-lib\"
+rule = \"nondeterminism\"
 file = \"crates/b/src/y.rs\"
 count = 3
 ";
@@ -337,11 +337,14 @@ count = 3
             "unknown rule"
         );
         assert!(
-            Allowlist::parse("[[allow]]\nrule = \"lossy-cast\"\nfile = \"f\"\ncount = x").is_err(),
+            Allowlist::parse(
+                "[[allow]]\nrule = \"raw-f64-in-public-api\"\nfile = \"f\"\ncount = x"
+            )
+            .is_err(),
             "bad count"
         );
         assert!(
-            Allowlist::parse("[[allow]]\nrule = \"lossy-cast\"\nfile = \"f\"").is_err(),
+            Allowlist::parse("[[allow]]\nrule = \"raw-f64-in-public-api\"\nfile = \"f\"").is_err(),
             "missing count"
         );
     }

@@ -10,14 +10,10 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `raw-f64-in-public-api` | physics-crate public `fn`s use `mira-units` newtypes |
-//! | `no-unwrap-in-lib` | no `unwrap()` / `expect(..)` / `panic!` in library code |
-//! | `lossy-cast` | no `as f64` / `as usize` / `as u32` / `as i64` |
-//! | `nan-unsafe-compare` | no `partial_cmp().unwrap()`, no bare float `==` |
 //! | `nondeterminism` | no wall clocks / unseeded RNGs in simulation crates |
 //! | `panic-reachability` | no panic site reachable from audited public fns |
 //! | `unit-flow` | no raw unit `f64` crossing crates untagged |
 //! | `determinism-taint` | no nondeterminism reachable from sweep/summary |
-//! | `deprecated-call` | no in-workspace calls to deprecated shims |
 //! | `alloc-in-hot-path` | no allocation reachable from the sweep and row-text hot roots |
 //! | `cache-purity` | fns feeding memo layers are pure |
 //! | `shared-state-escape` | no shared mutable state under spawned work |
@@ -27,15 +23,19 @@
 //! | `atomic-ordering` | orderings name the protocol, no blanket `SeqCst` |
 //! | `unjoined-thread` | every `thread::spawn` handle is joined |
 //!
-//! The first five are *line* rules; the rest are *semantic* rules
+//! The first two are *line* rules; the rest are *semantic* rules
 //! that run over a workspace [`index::SymbolIndex`] and
 //! [`callgraph::CallGraph`] built by [`parser`] (several also over the
 //! per-body facts from [`dataflow`]; the five lock/atomic/thread rules
 //! live in [`concurrency`]). Files are scanned in
 //! parallel (`MIRA_LINT_THREADS`, same shard-claim discipline as
 //! `mira-core::sweep`) and findings merge in deterministic file order,
-//! so output is byte-identical at any worker count — and byte-identical
-//! between cold and incremental-cache runs ([`cache`]).
+//! so output is byte-identical at any worker count.
+//!
+//! What rustc or clippy already enforce is left to them: `unwrap()` /
+//! `expect(..)` / `panic!`, lossy `as` casts, float `==`, and calls to
+//! `#[deprecated]` items are denied by the clippy passes in `ci.sh`
+//! (DESIGN.md §7 maps each retired rule to its lint).
 //!
 //! Violations can be waved through inline (`// mira-lint:
 //! allow(<rule>)` on the offending line or the one above) or
@@ -45,7 +45,6 @@
 //! engine under `cargo test`, so the gate cannot be skipped.
 
 pub mod allowlist;
-pub mod cache;
 pub mod callgraph;
 pub(crate) mod concurrency;
 pub mod dataflow;
@@ -201,53 +200,7 @@ impl Workspace {
     /// the work).
     #[must_use]
     pub fn scan(&self, threads: usize) -> Vec<Finding> {
-        let cached = vec![None; self.sources.len()];
-        self.assemble(scan_files_sharded(&self.sources, threads.max(1), &cached))
-    }
-
-    /// [`Workspace::scan`] with an incremental cache at `cache_path`.
-    ///
-    /// Per-file *line* findings are keyed by content hash: an unchanged
-    /// file skips its line rules (it is still lexed and parsed — the
-    /// semantic pass needs the whole-workspace index either way), and a
-    /// fully unchanged workspace returns the stored final findings
-    /// without scanning at all. Cached and cold results are
-    /// byte-identical (gated in ci.sh); the cache self-invalidates on
-    /// any [`cache::RULE_VERSION`] bump.
-    #[must_use]
-    pub fn scan_with_cache(&self, threads: usize, cache_path: &Path) -> Vec<Finding> {
-        let digest: Vec<(String, u64)> = self
-            .sources
-            .iter()
-            .map(|(rel, text)| {
-                (
-                    rel.to_string_lossy().replace('\\', "/"),
-                    cache::content_hash(text),
-                )
-            })
-            .collect();
-        let prior = cache::ScanCache::load(cache_path);
-        if let Some(cache) = &prior {
-            if cache.matches(&digest) {
-                return cache.final_findings.clone();
-            }
-        }
-        let cached: Vec<Option<Vec<Finding>>> = digest
-            .iter()
-            .map(|(path, hash)| {
-                prior
-                    .as_ref()
-                    .and_then(|c| c.line_findings_for(path, *hash))
-                    .map(<[Finding]>::to_vec)
-            })
-            .collect();
-        let per_file = scan_files_sharded(&self.sources, threads.max(1), &cached);
-        let raw: Vec<Vec<Finding>> = per_file.iter().map(|(f, _)| f.clone()).collect();
-        let findings = self.assemble(per_file);
-        let next = cache::ScanCache::new(&digest, raw, findings.clone());
-        // Best-effort: a read-only target dir degrades to cold scans.
-        let _ = next.store(cache_path);
-        findings
+        self.assemble(scan_files_sharded(&self.sources, threads.max(1)))
     }
 
     /// The post-shard pipeline: merge per-file passes in file order,
@@ -286,25 +239,18 @@ impl Workspace {
 
 type FilePass = (Vec<Finding>, parser::ParsedFile);
 
-/// One file's pass. `cached` short-circuits the line rules only: the
-/// lex + parse still run because the semantic pass needs every file's
-/// items regardless of what changed.
-fn scan_file(rel: &Path, text: &str, cached: Option<&[Finding]>) -> FilePass {
+/// One file's pass: lex, line rules, parse.
+fn scan_file(rel: &Path, text: &str) -> FilePass {
     let lines = lexer::analyze(text);
-    let findings = cached.map_or_else(|| check_file(rel, &lines), <[Finding]>::to_vec);
+    let findings = check_file(rel, &lines);
     let parsed = parser::parse_file(rel, text, &lines, &rules::UNIT_TYPES);
     (findings, parsed)
 }
 
 /// The deterministic shard scan: `workers` threads claim file indices
 /// from a shared counter; each result lands in its file's slot; the
-/// merge reads slots in file order. `cached[i]` carries file `i`'s
-/// cache-hit line findings, when any.
-fn scan_files_sharded(
-    sources: &[(PathBuf, String)],
-    threads: usize,
-    cached: &[Option<Vec<Finding>>],
-) -> Vec<FilePass> {
+/// merge reads slots in file order.
+fn scan_files_sharded(sources: &[(PathBuf, String)], threads: usize) -> Vec<FilePass> {
     let workers = threads.min(sources.len()).max(1);
     let slots: Vec<Mutex<Option<FilePass>>> = sources.iter().map(|_| Mutex::new(None)).collect();
 
@@ -317,7 +263,7 @@ fn scan_files_sharded(
                     let Some((rel, text)) = sources.get(i) else {
                         break;
                     };
-                    let pass = scan_file(rel, text, cached[i].as_deref());
+                    let pass = scan_file(rel, text);
                     if let Ok(mut slot) = slots[i].lock() {
                         *slot = Some(pass);
                     }
@@ -336,7 +282,7 @@ fn scan_files_sharded(
             };
             // Single-threaded mode, or a slot a worker failed to fill:
             // compute inline so the scan never silently drops a file.
-            inner.unwrap_or_else(|| scan_file(&sources[i].0, &sources[i].1, cached[i].as_deref()))
+            inner.unwrap_or_else(|| scan_file(&sources[i].0, &sources[i].1))
         })
         .collect()
 }
@@ -434,11 +380,13 @@ mod tests {
 
     #[test]
     fn scan_source_applies_path_sensitive_rules() {
-        let src = "pub fn t(&self) -> f64 { self.v as f64 }\n";
+        let src = "pub fn t(&self) -> f64 { self.at(Instant::now()) }\n";
         let cooling = scan_source(Path::new("crates/cooling/src/x.rs"), src);
-        assert_eq!(cooling.len(), 2, "{cooling:?}"); // raw-f64 + lossy-cast
+        assert_eq!(cooling.len(), 2, "{cooling:?}"); // raw-f64 + nondeterminism
+        let core = scan_source(Path::new("crates/core/src/x.rs"), src);
+        assert_eq!(core.len(), 1, "{core:?}"); // nondeterminism only
         let nn = scan_source(Path::new("crates/nn/src/x.rs"), src);
-        assert_eq!(nn.len(), 1, "{nn:?}"); // lossy-cast only
+        assert!(nn.is_empty(), "{nn:?}");
     }
 
     #[test]
@@ -451,21 +399,23 @@ mod tests {
     fn fixture_workspace() -> Workspace {
         Workspace::from_files(vec![
             (
-                PathBuf::from("crates/alpha/Cargo.toml"),
-                "[package]\nname = \"mira-alpha\"\n[dependencies]\nmira-beta.workspace = true\n"
+                PathBuf::from("crates/core/Cargo.toml"),
+                "[package]\nname = \"mira-core\"\n[dependencies]\nmira-cooling.workspace = true\n"
                     .to_owned(),
             ),
             (
-                PathBuf::from("crates/beta/Cargo.toml"),
-                "[package]\nname = \"mira-beta\"\n".to_owned(),
+                PathBuf::from("crates/cooling/Cargo.toml"),
+                "[package]\nname = \"mira-cooling\"\n".to_owned(),
             ),
             (
-                PathBuf::from("crates/alpha/src/lib.rs"),
-                "pub fn touch(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n".to_owned(),
+                PathBuf::from("crates/core/src/lib.rs"),
+                "pub fn stamp() -> u64 {\n    let _ = std::time::Instant::now();\n    0\n}\n"
+                    .to_owned(),
             ),
             (
-                PathBuf::from("crates/beta/src/lib.rs"),
-                "pub fn scale(n: u64) -> f64 {\n    n as f64\n}\n".to_owned(),
+                PathBuf::from("crates/cooling/src/lib.rs"),
+                "pub fn scale(n: u64) -> f64 {\n    mira_units::convert::f64_from_u64(n)\n}\n"
+                    .to_owned(),
             ),
         ])
     }
@@ -494,17 +444,17 @@ mod tests {
                 file: PathBuf::from("crates/a/src/x.rs"),
                 line: 3,
                 column: 17,
-                rule: Rule::NoUnwrapInLib,
-                matched: "`unwrap()` in \"library\" code".to_owned(),
+                rule: Rule::Nondeterminism,
+                matched: "`Instant::now` in \"simulation\" code".to_owned(),
                 chain: vec!["a".to_owned(), "b".to_owned()],
             }],
             grandfathered: 2,
             slack: Vec::new(),
         };
         let json = render_json(&gated, 5);
-        assert!(json.contains("\"rule\": \"no-unwrap-in-lib\""));
+        assert!(json.contains("\"rule\": \"nondeterminism\""));
         assert!(json.contains("\"column\": 17"));
-        assert!(json.contains("\\\"library\\\""));
+        assert!(json.contains("\\\"simulation\\\""));
         assert!(json.contains("\"chain\": [\"a\", \"b\"]"));
         assert!(json.contains("\"grandfathered\": 2"));
         assert!(json.contains("\"allowlist_entries\": 5"));

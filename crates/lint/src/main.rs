@@ -3,7 +3,7 @@
 //! ```text
 //! mira-lint [--root <dir>] [--allowlist <file>] [--write-allowlist]
 //!           [--format text|json] [--threads <n>] [--explain <rule>]
-//!           [--cache] [--cache-file <file>] [--quiet]
+//!           [--quiet]
 //! ```
 //!
 //! Walks `crates/*/src/**/*.rs`, runs every rule (line rules in
@@ -15,10 +15,7 @@
 //! grandfathering the status quo so the budget can only ratchet down
 //! from there. `--format json` emits the machine-readable document
 //! (byte-stable across `--threads` values); `--explain <rule>` prints
-//! the long-form rationale for one rule. `--cache` reuses per-file
-//! results keyed by content hash (default store:
-//! `<root>/target/mira-lint-cache.json`; `--cache-file` overrides and
-//! implies `--cache`) — cached and cold output are byte-identical.
+//! the long-form rationale for one rule.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -34,8 +31,6 @@ struct Options {
     json: bool,
     threads: Option<usize>,
     explain: Option<String>,
-    cache: bool,
-    cache_file: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -47,8 +42,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         threads: None,
         explain: None,
-        cache: false,
-        cache_file: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -85,20 +78,13 @@ fn parse_args() -> Result<Options, String> {
             "--explain" => {
                 options.explain = Some(args.next().ok_or("--explain needs a rule name")?);
             }
-            "--cache" => options.cache = true,
-            "--cache-file" => {
-                options.cache_file = Some(PathBuf::from(
-                    args.next().ok_or("--cache-file needs a file argument")?,
-                ));
-                options.cache = true;
-            }
             "--quiet" | "-q" => options.quiet = true,
             "--help" | "-h" => {
                 println!(
                     "mira-lint: domain-invariant static analysis for the mira workspace\n\n\
                      USAGE: mira-lint [--root <dir>] [--allowlist <file>] [--write-allowlist]\n\
                      \x20                [--format text|json] [--threads <n>] [--explain <rule>]\n\
-                     \x20                [--cache] [--cache-file <file>] [--quiet]\n\n\
+                     \x20                [--quiet]\n\n\
                      RULES: {}",
                     Rule::ALL.map(Rule::name).join(", ")
                 );
@@ -139,14 +125,7 @@ fn run() -> Result<ExitCode, String> {
     let workspace =
         Workspace::load(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
     let threads = options.threads.unwrap_or_else(mira_lint::effective_threads);
-    let findings = if options.cache {
-        let cache_path = options
-            .cache_file
-            .unwrap_or_else(|| root.join("target").join("mira-lint-cache.json"));
-        workspace.scan_with_cache(threads, &cache_path)
-    } else {
-        workspace.scan(threads)
-    };
+    let findings = workspace.scan(threads);
 
     let allowlist_path = options
         .allowlist

@@ -233,8 +233,6 @@ pub struct FnItem {
     pub params: Vec<(Option<String>, Vec<String>)>,
     /// Identifiers appearing in the return type.
     pub ret: Vec<String>,
-    /// Carries `#[deprecated]`.
-    pub deprecated: bool,
     /// `#[test]`, `#[cfg(test)]`, or inside a `#[cfg(test)]` region.
     pub is_test: bool,
     /// Call expressions in the body.
@@ -310,7 +308,6 @@ struct Parser<'a> {
 /// Attributes gathered in front of an item.
 #[derive(Debug, Clone, Copy, Default)]
 struct Attrs {
-    deprecated: bool,
     cfg_test: bool,
     is_test: bool,
 }
@@ -442,7 +439,6 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             match idents.first().copied() {
-                Some("deprecated") => pending.deprecated = true,
                 Some("test") => pending.is_test = true,
                 Some("cfg") if idents.contains(&"test") => pending.cfg_test = true,
                 _ => {}
@@ -769,7 +765,6 @@ impl Parser<'_> {
             line: fn_line,
             params,
             ret,
-            deprecated: attrs.deprecated,
             is_test: attrs.is_test || attrs.cfg_test || in_test_region,
             calls: Vec::new(),
             panics: Vec::new(),
@@ -1285,12 +1280,6 @@ mod tests {
         assert!(t.is_test);
         let real = file.fns.iter().find(|f| f.name == "real").expect("real");
         assert!(!real.is_test);
-    }
-
-    #[test]
-    fn deprecated_attr_is_recorded() {
-        let file = parse("#[deprecated(since = \"0.2.0\", note = \"x\")]\npub fn old() {}\n");
-        assert!(file.fns[0].deprecated);
     }
 
     #[test]

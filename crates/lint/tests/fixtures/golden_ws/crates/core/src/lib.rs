@@ -12,6 +12,10 @@ fn scale(n: u64) -> f64 {
     n as f64
 }
 
+fn stamp() -> std::time::Instant {
+    std::time::Instant::now()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -58,8 +58,7 @@ fn json_output_is_byte_identical_across_thread_counts() {
     assert_eq!(code_one, code_four);
     assert_eq!(code_one, code_eight);
     // Sanity: the fixture actually exercises all three layers.
-    assert!(one.contains("\"no-unwrap-in-lib\""));
-    assert!(one.contains("\"lossy-cast\""));
+    assert!(one.contains("\"nondeterminism\""));
     assert!(one.contains("\"panic-reachability\""));
     assert!(one.contains("\"chain\": [\"entry\", \"pick\"]"));
 }

@@ -142,7 +142,8 @@ fn external_cfg_test_mod_exempts_child_file_from_semantic_rules() {
         ),
         (
             PathBuf::from("crates/core/src/tests.rs"),
-            "pub fn helper(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n".to_owned(),
+            "pub fn helper(o: Option<u8>) -> u8 {\n    let _ = std::time::Instant::now();\n    o.unwrap()\n}\n"
+                .to_owned(),
         ),
     ]);
     let findings = ws.scan(1);
@@ -153,12 +154,12 @@ fn external_cfg_test_mod_exempts_child_file_from_semantic_rules() {
     assert_eq!(reach.len(), 1, "{reach:?}");
     assert!(reach[0].file.ends_with("lib.rs"));
     assert!(reach[0].matched.contains("live"));
-    // The line rule still fires in tests.rs? No: test files are
-    // exempt from no-unwrap too, via the cross-file marking.
+    // Line rules are dropped in tests.rs too, via the cross-file
+    // marking: its `Instant::now()` is not a nondeterminism finding.
     assert!(
         !findings
             .iter()
-            .any(|f| f.rule == Rule::NoUnwrapInLib && f.file.ends_with("tests.rs")),
+            .any(|f| f.rule == Rule::Nondeterminism && f.file.ends_with("tests.rs")),
         "{findings:?}"
     );
 }

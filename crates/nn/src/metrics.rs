@@ -104,7 +104,7 @@ impl BinaryMetrics {
     pub fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.recall();
-        // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+        // Exact-zero divide guard.
         if p + r == 0.0 {
             0.0
         } else {
@@ -131,6 +131,10 @@ impl BinaryMetrics {
 ///
 /// Panics if the slices differ in length.
 #[must_use]
+#[allow(
+    clippy::float_cmp,
+    reason = "ties must be exact `==`: -0.0 and +0.0 tie, NaN never ties"
+)]
 pub fn roc_auc(scores: &[f64], targets: &[f64]) -> Option<f64> {
     assert_eq!(scores.len(), targets.len(), "length mismatch");
     // Rank-sum (Mann-Whitney) formulation with midranks for ties.

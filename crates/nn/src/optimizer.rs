@@ -85,8 +85,10 @@ impl OptimizerState {
                 beta2,
             } => {
                 let eps = 1e-8;
-                let bc1 = 1.0 - beta1.powi(self.t as i32);
-                let bc2 = 1.0 - beta2.powi(self.t as i32);
+                // Past i32::MAX steps both powers have long underflowed to 0.
+                let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+                let bc1 = 1.0 - beta1.powi(t);
+                let bc2 = 1.0 - beta2.powi(t);
                 grads
                     .iter()
                     .enumerate()

@@ -227,7 +227,11 @@ impl DatasetBuilder {
         let salt = self
             .negative_salt
             .wrapping_mul(0xD131_0BA6_98DF_B5AC)
-            .wrapping_add((lead.as_seconds() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add(
+                lead.as_seconds()
+                    .cast_unsigned()
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
         let mut negatives = 0usize;
         let mut k = 0usize;
         while negatives < needed && k < candidates * 2 {
@@ -235,7 +239,7 @@ impl DatasetBuilder {
             h = (h ^ (h >> 30)).wrapping_mul(0x94D0_49BB_1331_11EB);
             h ^= h >> 31;
             let jitter = Duration::from_seconds(convert::i64_from_u64(
-                h % (stride.as_seconds().max(1) as u64),
+                h % stride.as_seconds().max(1).cast_unsigned(),
             ));
             let end = self.production.0
                 + self.features.window

@@ -86,7 +86,12 @@ impl AftermathModel {
     #[must_use]
     pub fn events_after(&self, incident: &ScheduledIncident) -> Vec<RasEvent> {
         let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (incident.time.epoch_seconds() as u64).rotate_left(13),
+            self.seed
+                ^ incident
+                    .time
+                    .epoch_seconds()
+                    .cast_unsigned()
+                    .rotate_left(13),
         );
         let mean = self.mean_per_affected_rack * convert::f64_from_usize(incident.multiplicity());
         let count = sample_poisson(&mut rng, mean);

@@ -62,7 +62,8 @@ impl CascadePlanner {
     /// following hour.
     #[must_use]
     pub fn render(&self, incident: &ScheduledIncident) -> StormIncident {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ incident.time.epoch_seconds() as u64);
+        let mut rng =
+            StdRng::seed_from_u64(self.seed ^ incident.time.epoch_seconds().cast_unsigned());
         let mut messages = Vec::new();
 
         for (i, &rack) in incident.affected.iter().enumerate() {

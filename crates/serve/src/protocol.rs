@@ -247,6 +247,13 @@ pub fn usage_error_reply(id: &Json, message: &str) -> String {
     error_reply(id, "usage", 2, message)
 }
 
+/// An error reply for a request refused by a size limit before it was
+/// parsed, so its `id` is unknown (exit code 2, like a usage error).
+#[must_use]
+pub fn limit_error_reply(message: &str) -> String {
+    error_reply(&Json::Null, "limit", 2, message)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,10 @@ use mira_timeseries::{LinearFit, MonthProfile, SimTime, WeekdayProfile, YearProf
 use mira_units::convert;
 
 use crate::json::Json;
-use crate::protocol::{core_error_reply, ok_reply, parse_request, usage_error_reply, Request};
+use crate::protocol::{
+    core_error_reply, limit_error_reply, ok_reply, parse_request, usage_error_reply, Request,
+};
+use crate::server::MAX_LINE_BYTES;
 use crate::stats::ServeStats;
 
 /// Figure identifiers the `figure` query accepts.
@@ -214,6 +217,17 @@ impl ServeState {
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.lock_stats().note_query_wall(nanos);
         reply
+    }
+
+    /// Answers a request line longer than [`MAX_LINE_BYTES`] without
+    /// parsing it: counted as an invalid query, replied to with a
+    /// structured `limit` error.
+    #[must_use]
+    pub fn reject_oversized(&self) -> String {
+        self.lock_stats().note_invalid();
+        limit_error_reply(&format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes; discarded through the next newline"
+        ))
     }
 
     fn dispatch(&self, request: &Request, id: &Json) -> String {

@@ -305,7 +305,7 @@ impl CalendarBins {
     // Month::index(). mira-lint: allow(panic-reachability)
     pub fn monthly_change_from_january(&self) -> Option<Vec<f64>> {
         let jan = self.months[0].median();
-        // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+        // Exact-zero divide guard.
         if self.months[0].count() == 0 || jan == 0.0 {
             return None;
         }
@@ -324,7 +324,7 @@ impl CalendarBins {
     #[must_use]
     pub fn non_monday_uplift(&self) -> Option<f64> {
         let monday = &self.weekdays[Weekday::Monday.index()];
-        // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+        // Exact-zero divide guard.
         if monday.count() == 0 || monday.median() == 0.0 {
             return None;
         }
@@ -337,7 +337,7 @@ impl CalendarBins {
             num += bin.median() * convert::f64_from_u64(bin.count());
             den += convert::f64_from_u64(bin.count());
         }
-        // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+        // Exact-zero divide guard.
         if den == 0.0 {
             return None;
         }

@@ -52,11 +52,12 @@ impl Month {
     ///
     /// Panics if `n` is not in `1..=12`.
     #[must_use]
+    #[allow(clippy::panic, reason = "documented contract panic")]
     pub fn from_number(n: u8) -> Self {
         Self::ALL
             .get(usize::from(n.wrapping_sub(1)))
             .copied()
-            // Documented contract panic. mira-lint: allow(no-unwrap-in-lib, panic-reachability)
+            // Documented contract panic. mira-lint: allow(panic-reachability)
             .unwrap_or_else(|| panic!("month number out of range: {n}"))
     }
 
@@ -171,11 +172,12 @@ impl Weekday {
     ///
     /// Panics if `i > 6`.
     #[must_use]
+    #[allow(clippy::panic, reason = "documented contract panic")]
     pub fn from_index(i: usize) -> Self {
         Self::ALL
             .get(i)
             .copied()
-            // Documented contract panic. mira-lint: allow(no-unwrap-in-lib, panic-reachability)
+            // Documented contract panic. mira-lint: allow(panic-reachability)
             .unwrap_or_else(|| panic!("weekday index out of range: {i}"))
     }
 }
@@ -279,8 +281,11 @@ impl Date {
         let mp = (5 * doy + 2) / 153; // [0, 11]
         let d = doy - (153 * mp + 2) / 5 + 1; // [1, 31]
         let m = if mp < 10 { mp + 3 } else { mp - 9 }; // [1, 12]
-                                                       // Only a year outside i32 (far beyond any telemetry horizon) can
-                                                       // fail here. mira-lint: allow(no-unwrap-in-lib, panic-reachability)
+        #[allow(
+            clippy::expect_used,
+            reason = "only a year outside i32 (far beyond any telemetry horizon) can fail here"
+        )]
+        // See the allow above. mira-lint: allow(panic-reachability)
         let year = i32::try_from(y + i64::from(m <= 2)).expect("year out of i32 range");
         // `mp` bounds put `m` in [1, 12] and `d` in [1, 31]; `Date::new`
         // re-validates both, so the fallbacks are unreachable.

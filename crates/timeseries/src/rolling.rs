@@ -127,7 +127,7 @@ impl RollingWindow {
     #[must_use]
     pub fn relative_delta(&self) -> Option<f64> {
         let oldest = self.oldest()?;
-        // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+        // Exact-zero divide guard.
         if oldest == 0.0 {
             return None;
         }

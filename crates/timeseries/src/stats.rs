@@ -547,7 +547,7 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     let mx = x.iter().sum::<f64>() / n;
     let my = y.iter().sum::<f64>() / n;
     let sxx: f64 = x.iter().map(|&xi| (xi - mx).powi(2)).sum();
-    // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+    // Exact-zero divide guard.
     if sxx == 0.0 {
         return None;
     }
@@ -559,7 +559,7 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     let syy: f64 = y.iter().map(|&yi| (yi - my).powi(2)).sum();
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+    // Exact-zero divide guard.
     let r_squared = if syy == 0.0 {
         1.0
     } else {
@@ -650,7 +650,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
         sxx += (xi - mx).powi(2);
         syy += (yi - my).powi(2);
     }
-    // Exact-zero divide guards. mira-lint: allow(nan-unsafe-compare)
+    // Exact-zero divide guards.
     if sxx == 0.0 || syy == 0.0 {
         return None;
     }
@@ -730,6 +730,10 @@ pub fn spearman_permutation_pvalue(x: &[f64], y: &[f64], rounds: u32, seed: u64)
 }
 
 /// Assigns 1-based mid-ranks, averaging ties.
+#[allow(
+    clippy::float_cmp,
+    reason = "ties must be exact `==`: -0.0 and +0.0 tie, NaN never ties"
+)]
 // Indexing goes through a permutation of 0..len and j < len checks.
 // mira-lint: allow(panic-reachability)
 fn midranks(xs: &[f64]) -> Vec<f64> {

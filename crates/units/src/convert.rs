@@ -1,10 +1,11 @@
 //! Documented numeric conversions between counts, indices, and `f64`.
 //!
-//! A bare `as` cast silently truncates, wraps, or rounds; `mira-lint`'s
-//! `lossy-cast` rule flags every one of them. These helpers are the
-//! sanctioned alternative: each contains exactly one cast, states the
-//! domain over which it is exact, and debug-asserts that domain, so call
-//! sites document their intent instead of sprinkling `as`.
+//! A bare `as` cast silently truncates, wraps, or rounds; clippy's
+//! `cast_*` lints (denied for library code by `ci.sh`) flag every one of
+//! them. These helpers are the sanctioned alternative: each contains
+//! exactly one cast, states the domain over which it is exact, and
+//! debug-asserts that domain, so call sites document their intent
+//! instead of sprinkling `as`.
 
 /// An integer count as an `f64`.
 ///
@@ -12,9 +13,12 @@
 /// samples, racks, failures, epochs — is far below that, which the
 /// debug assertion pins down.
 #[must_use]
+#[allow(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53, asserted above"
+)]
 pub fn f64_from_usize(n: usize) -> f64 {
     debug_assert!(n < (1_usize << 53), "count {n} exceeds exact f64 range");
-    // Exact below 2^53, asserted above. mira-lint: allow(lossy-cast)
     n as f64
 }
 
@@ -22,9 +26,12 @@ pub fn f64_from_usize(n: usize) -> f64 {
 ///
 /// Exact for counts below 2^53, debug-asserted.
 #[must_use]
+#[allow(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53, asserted above"
+)]
 pub fn f64_from_u64(n: u64) -> f64 {
     debug_assert!(n < (1_u64 << 53), "count {n} exceeds exact f64 range");
-    // Exact below 2^53, asserted above. mira-lint: allow(lossy-cast)
     n as f64
 }
 
@@ -33,12 +40,15 @@ pub fn f64_from_u64(n: u64) -> f64 {
 /// Exact for magnitudes below 2^53, debug-asserted. Epoch seconds stay
 /// below 2^35 until the year 3058.
 #[must_use]
+#[allow(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53 magnitude, asserted above"
+)]
 pub fn f64_from_i64(n: i64) -> f64 {
     debug_assert!(
         n.unsigned_abs() < (1_u64 << 53),
         "value {n} exceeds exact f64 range"
     );
-    // Exact below 2^53 magnitude, asserted above. mira-lint: allow(lossy-cast)
     n as f64
 }
 
@@ -60,13 +70,14 @@ pub fn usize_from_u32(n: u32) -> usize {
 /// `const` so compile-time counts (rack totals, midplane totals) can use
 /// it in constant expressions; small fleet-shaped counts never saturate.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "bounded by the saturating branch; `try_from` is not const-stable enough here"
+)]
 pub const fn u32_from_usize(n: usize) -> u32 {
-    // Saturate explicitly: `try_from` is not const-stable enough here.
-    // mira-lint: allow(lossy-cast)
     if n > u32::MAX as usize {
         u32::MAX
     } else {
-        // Bounded by the branch above. mira-lint: allow(lossy-cast)
         n as u32
     }
 }
@@ -116,10 +127,14 @@ pub fn usize_from_i64(n: i64) -> usize {
 /// to `usize::MAX`. Intended for bin/index computations where the input
 /// is a finite non-negative quantity by construction.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating float-to-int semantics do the clamping"
+)]
 pub fn usize_from_f64_floor(x: f64) -> usize {
     debug_assert!(!x.is_nan(), "index from NaN");
     debug_assert!(x >= 0.0, "index from negative {x}");
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
     x as usize
 }
 
@@ -128,10 +143,14 @@ pub fn usize_from_f64_floor(x: f64) -> usize {
 /// NaN and negative inputs clamp to 0; values beyond `usize::MAX` clamp
 /// to `usize::MAX`.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating float-to-int semantics do the clamping"
+)]
 pub fn usize_from_f64_ceil(x: f64) -> usize {
     debug_assert!(!x.is_nan(), "index from NaN");
     debug_assert!(x >= 0.0, "index from negative {x}");
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
     x.ceil() as usize
 }
 
@@ -139,10 +158,14 @@ pub fn usize_from_f64_ceil(x: f64) -> usize {
 ///
 /// NaN and negative inputs clamp to 0; out-of-range values saturate.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating float-to-int semantics do the clamping"
+)]
 pub fn usize_from_f64_round(x: f64) -> usize {
     debug_assert!(!x.is_nan(), "count from NaN");
     debug_assert!(x >= -0.5, "count from negative {x}");
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
     x.round() as usize
 }
 
@@ -152,10 +175,14 @@ pub fn usize_from_f64_round(x: f64) -> usize {
 /// saturate. Intended for small counts (midplanes, jobs) produced by
 /// scaling a fraction.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating float-to-int semantics do the clamping"
+)]
 pub fn u32_from_f64_round(x: f64) -> u32 {
     debug_assert!(!x.is_nan(), "count from NaN");
     debug_assert!(x >= -0.5, "count from negative {x}");
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
     x.round() as u32
 }
 
@@ -164,10 +191,14 @@ pub fn u32_from_f64_round(x: f64) -> u32 {
 /// NaN and negative inputs clamp to 0; values beyond `u32::MAX`
 /// saturate.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating float-to-int semantics do the clamping"
+)]
 pub fn u32_from_f64_floor(x: f64) -> u32 {
     debug_assert!(!x.is_nan(), "count from NaN");
     debug_assert!(x >= 0.0, "count from negative {x}");
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
     x as u32
 }
 
@@ -177,6 +208,15 @@ pub fn u32_from_f64_floor(x: f64) -> u32 {
 /// folds): counts stay far below 2⁵³, where every increment of 1.0 is
 /// exact, so the round-trip through `f64` is lossless.
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating float-to-int semantics do the clamping"
+)]
+#[allow(
+    clippy::float_cmp,
+    reason = "`x == x.trunc()` is the exact-integer test itself; an epsilon would accept non-integers"
+)]
 pub fn u64_from_f64_exact(x: f64) -> u64 {
     debug_assert!(!x.is_nan(), "count from NaN");
     debug_assert!(x >= 0.0, "count from negative {x}");
@@ -184,7 +224,6 @@ pub fn u64_from_f64_exact(x: f64) -> u64 {
         x == x.trunc() && x < 9_007_199_254_740_992.0,
         "non-exact count {x}"
     );
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
     x as u64
 }
 
@@ -197,12 +236,17 @@ pub fn u64_from_f64_exact(x: f64) -> u64 {
 /// zero, so only negative non-integers need the `-1` adjustment, and
 /// both paths saturate the same way at the `i64` range.
 #[must_use]
+#[allow(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53 magnitude; above it f64 holds integers only and the comparison is false"
+)]
 pub fn i64_from_f64_floor(x: f64) -> i64 {
     debug_assert!(!x.is_nan(), "integer from NaN");
-    // Saturating float-to-int semantics do the clamping. mira-lint: allow(lossy-cast)
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "saturating float-to-int semantics do the clamping"
+    )]
     let t = x as i64;
-    // Exact below 2^53 magnitude; above it f64 holds integers only and
-    // the comparison is false. mira-lint: allow(lossy-cast)
     if t as f64 > x {
         t.saturating_sub(1)
     } else {
@@ -263,7 +307,6 @@ mod tests {
         probes.push(-9_007_199_254_740_991.0);
         for x in probes {
             // The reference implementation this replaced.
-            // mira-lint: allow(lossy-cast)
             let reference = x.floor() as i64;
             assert_eq!(i64_from_f64_floor(x), reference, "at {x}");
         }

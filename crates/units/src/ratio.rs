@@ -37,7 +37,7 @@ impl Ratio {
     /// Panics if `baseline` is zero.
     #[must_use]
     pub fn relative_change(baseline: f64, value: f64) -> Self {
-        // Exact-zero divide guard. mira-lint: allow(nan-unsafe-compare)
+        // Exact-zero divide guard.
         assert!(baseline != 0.0, "relative change needs a nonzero baseline");
         Self((value - baseline) / baseline)
     }

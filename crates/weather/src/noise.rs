@@ -202,7 +202,9 @@ impl ValueNoise {
     /// Uniform value in `[-1, 1]` at integer lattice point `i`.
     fn lattice(&self, i: i64) -> f64 {
         // SplitMix64-style avalanche of (seed, i).
-        let mut z = (i as u64).wrapping_add(self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut z = i
+            .cast_unsigned()
+            .wrapping_add(self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;

@@ -224,11 +224,13 @@ impl BackfillScheduler {
     // mira-lint: allow(panic-reachability)
     fn free_slots(&self, queue: Queue) -> Vec<(RackId, u8)> {
         let mut out = Vec::new();
+        // Two midplanes per rack: the saturation never fires.
+        let midplanes = u8::try_from(MIDPLANES_PER_RACK).unwrap_or(u8::MAX);
         for rack in RackId::all() {
             if self.drained[rack.index()] || !Self::allowed(queue, rack) {
                 continue;
             }
-            for mp in 0..MIDPLANES_PER_RACK as u8 {
+            for mp in 0..midplanes {
                 if !self.busy[rack.index()][usize::from(mp)] {
                     out.push((rack, mp));
                 }
