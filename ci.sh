@@ -156,9 +156,13 @@ if ! printf '%s' "$serve_one" | grep -q '"shutting_down":true'; then
 fi
 
 # Serve perf snapshot: ingest rate, query throughput, p50/p99 query
-# latency into BENCH_serve.json (report-only; wall time never gates).
-echo "==> serve bench (BENCH_serve.json)"
-cargo bench -q -p mira-bench --bench serve_bench
+# latency (report-only; wall time never gates). Written to a scratch
+# copy so per-run timings never dirty the committed BENCH_serve.json.
+echo "==> serve bench (scratch copy)"
+serve_bench_scratch="$(mktemp)"
+cp BENCH_serve.json "$serve_bench_scratch"
+MIRA_BENCH_OUT="$serve_bench_scratch" cargo bench -q -p mira-bench --bench serve_bench
+rm -f "$serve_bench_scratch"
 
 # Columnar store round-trip gate: pack a CSV export, unpack it, and the
 # bytes must match exactly; a store-backed export over a sub-span must

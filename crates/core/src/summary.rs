@@ -247,9 +247,12 @@ impl SweepSummary {
     /// 2. Per-instant pass for the order-sensitive pooled statistics,
     ///    the system-level lane sums (staged to a per-block scalar
     ///    row), the shared week keys, and the energy ledger.
-    /// 3. Channel-outer bins pass: one channel's calendar bins (~7 KB)
-    ///    absorb the whole block's staged scalars while hot, rather
-    ///    than thrashing all seven channels' bins per instant.
+    /// 3. Channel-outer bins pass: one channel's calendar bins absorb
+    ///    the whole block's staged scalars while hot, rather than
+    ///    thrashing all seven channels' bins per instant. Each value
+    ///    costs one month-bin and one weekday-bin push (a shard holds
+    ///    one month bin and seven weekday bins per channel, ~2 KB); the
+    ///    yearly and month-of-year views are derived on read.
     // Row indexing is `k < len` over rows the executor sized to `len`
     // and staging rows sized by the assert below; lane indexing is
     // `l in 0..RackId::COUNT` over `[_; 48]` rows; the year index is a

@@ -2,9 +2,11 @@
 //!
 //! The paper's temporal analyses are all calendar re-groupings of the same
 //! telemetry stream: per-year trends (Fig. 2–3), month-of-year medians
-//! (Fig. 4), and day-of-week medians (Fig. 5). [`CalendarBins`] performs
-//! all of these in one pass with O(1) memory per bin: a [`Welford`]
-//! accumulator for means/extremes plus a [`P2Quantile`] for the median.
+//! (Fig. 4), and day-of-week medians (Fig. 5). [`CalendarBins`] keeps one
+//! bin per calendar month and one per weekday, each O(1) memory: a
+//! [`Welford`] accumulator for means/extremes plus a [`P2Quantile`] for
+//! the median. The overall, yearly and month-of-year views are derived
+//! on read by merging month bins.
 
 use mira_units::convert;
 use serde::{Deserialize, Serialize};
@@ -130,6 +132,14 @@ pub struct WeekdayProfile {
 
 /// One-pass calendar aggregation of a telemetry channel.
 ///
+/// Holds one bin per calendar month observed, in chronological order,
+/// plus the seven weekday bins. A push costs one month-bin push and one
+/// weekday push. The overall, yearly and month-of-year views are
+/// chronological [`BinSummary::merge`] folds over the month bins, the
+/// same left fold the month-sharded sweep performs over its shards.
+/// Counts, means and extremes are exact; a view spanning several
+/// months carries the merged median of [`P2Quantile::merge`].
+///
 /// ```
 /// use mira_timeseries::{CalendarBins, Date, SimTime, Duration};
 ///
@@ -144,11 +154,9 @@ pub struct WeekdayProfile {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CalendarBins {
-    overall: BinSummary,
-    years: Vec<(i32, BinSummary)>,
-    months: Vec<BinSummary>,
-    weekdays: Vec<BinSummary>,
-    hours: Vec<BinSummary>,
+    /// One bin per calendar month, keyed and sorted by (year, month).
+    months: Vec<(i32, Month, BinSummary)>,
+    weekdays: [BinSummary; 7],
 }
 
 impl Default for CalendarBins {
@@ -157,23 +165,26 @@ impl Default for CalendarBins {
     }
 }
 
+/// Chronological fold of `bins` into one summary.
+fn fold<'a>(bins: impl IntoIterator<Item = &'a BinSummary>) -> BinSummary {
+    let mut acc = BinSummary::new();
+    for bin in bins {
+        acc.merge(bin);
+    }
+    acc
+}
+
 impl CalendarBins {
     /// Creates an empty aggregation.
     #[must_use]
-    // Aggregation constructor: the fixed month/weekday/hour bin vectors
-    // are allocated once per recorder at setup, never per step.
-    // mira-lint: allow(alloc-in-hot-path)
     pub fn new() -> Self {
         Self {
-            overall: BinSummary::new(),
-            years: Vec::new(),
-            months: (0..12).map(|_| BinSummary::new()).collect(),
-            weekdays: (0..7).map(|_| BinSummary::new()).collect(),
-            hours: (0..24).map(|_| BinSummary::new()).collect(),
+            months: Vec::new(),
+            weekdays: std::array::from_fn(|_| BinSummary::new()),
         }
     }
 
-    /// Adds one timestamped observation to every bin it belongs to.
+    /// Adds one timestamped observation to its month and weekday bins.
     pub fn push(&mut self, t: SimTime, value: f64) {
         self.push_parts(t.civil_parts(), value);
     }
@@ -184,76 +195,87 @@ impl CalendarBins {
     /// [`crate::CivilDayCache`]) and feeds the same [`CivilParts`] to
     /// every channel's bins, instead of re-deriving the date per channel
     /// per step. `push(t, v)` is exactly `push_parts(t.civil_parts(), v)`.
-    // month/weekday `.index()` and `hour` are bounded by their types'
-    // contracts; the bin vectors are built with matching lengths.
-    // mira-lint: allow(panic-reachability)
+    // weekday `.index()` is bounded by its type's contract; the weekday
+    // array has matching length. mira-lint: allow(panic-reachability)
     pub fn push_parts(&mut self, parts: CivilParts, value: f64) {
-        self.overall.push(value);
-        let year = parts.date.year();
-        // Chronological pushes land in the newest (last) year row, so
-        // scan from the back; the match target is unique either way.
-        match self.years.iter_mut().rev().find(|(y, _)| *y == year) {
-            Some((_, bin)) => bin.push(value),
-            None => {
-                let mut bin = BinSummary::new();
-                bin.push(value);
-                self.years.push((year, bin));
-                self.years.sort_by_key(|(y, _)| *y);
-            }
+        let (year, month) = (parts.date.year(), parts.date.month());
+        // Chronological pushes land in the newest (last) month bin.
+        match self.months.last_mut() {
+            Some((y, m, bin)) if *y == year && *m == month => bin.push(value),
+            _ => self.month_bin(year, month).push(value),
         }
-        self.months[parts.date.month().index()].push(value);
         self.weekdays[parts.weekday.index()].push(value);
-        self.hours[usize::from(parts.hour)].push(value);
     }
 
-    /// Merges another aggregation into this one, bin by bin.
-    ///
-    /// Year rows present on either side are kept (merged where both
-    /// have them); month/weekday/hour bins combine element-wise. Means,
-    /// counts, and extremes merge exactly; medians approximately (see
-    /// [`P2Quantile::merge`]).
-    pub fn merge(&mut self, other: &CalendarBins) {
-        self.overall.merge(&other.overall);
-        for (year, bin) in &other.years {
-            match self.years.iter_mut().find(|(y, _)| y == year) {
-                Some((_, mine)) => mine.merge(bin),
-                None => {
-                    let at = self.years.partition_point(|(y, _)| y < year);
-                    self.years.insert(at, (*year, bin.clone()));
-                }
-            }
+    /// The bin for `(year, month)`, inserted empty in chronological
+    /// position when absent.
+    // `at` is a found-or-just-inserted position in `months`.
+    // mira-lint: allow(panic-reachability)
+    fn month_bin(&mut self, year: i32, month: Month) -> &mut BinSummary {
+        let at = self
+            .months
+            .partition_point(|(y, m, _)| (*y, *m) < (year, month));
+        if !matches!(self.months.get(at), Some((y, m, _)) if *y == year && *m == month) {
+            self.months.insert(at, (year, month, BinSummary::new()));
         }
-        for (mine, theirs) in self.months.iter_mut().zip(&other.months) {
-            mine.merge(theirs);
+        &mut self.months[at].2
+    }
+
+    /// Merges another aggregation into this one.
+    ///
+    /// The other side's month bins are inserted in chronological
+    /// position; a month present on both sides (a shard cut inside the
+    /// month) is pooled. Weekday bins combine element-wise. Means,
+    /// counts, and extremes merge exactly; medians approximately (see
+    /// [`P2Quantile::merge`]), except that merging into an empty bin
+    /// copies it.
+    pub fn merge(&mut self, other: &CalendarBins) {
+        for (year, month, bin) in &other.months {
+            self.month_bin(*year, *month).merge(bin);
         }
         for (mine, theirs) in self.weekdays.iter_mut().zip(&other.weekdays) {
             mine.merge(theirs);
         }
-        for (mine, theirs) in self.hours.iter_mut().zip(&other.hours) {
-            mine.merge(theirs);
-        }
     }
 
-    /// Summary over all observations.
+    /// Summary over all observations: the chronological fold of every
+    /// month bin.
     #[must_use]
-    pub fn overall(&self) -> &BinSummary {
-        &self.overall
+    pub fn overall(&self) -> BinSummary {
+        fold(self.months.iter().map(|(_, _, bin)| bin))
     }
 
-    /// Per-year rows, in year order.
+    /// Per-year rows, in year order, each the chronological fold of the
+    /// year's month bins.
     #[must_use]
+    // A `chunk_by` run is never empty. mira-lint: allow(panic-reachability)
     pub fn yearly(&self) -> Vec<YearProfile> {
-        self.years
-            .iter()
-            .map(|(year, bin)| YearProfile {
-                year: *year,
-                mean: bin.mean(),
-                median: bin.median(),
-                min: bin.min(),
-                max: bin.max(),
-                count: bin.count(),
+        self.months
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let bin = fold(run.iter().map(|(_, _, bin)| bin));
+                YearProfile {
+                    year: run[0].0,
+                    mean: bin.mean(),
+                    median: bin.median(),
+                    min: bin.min(),
+                    max: bin.max(),
+                    count: bin.count(),
+                }
             })
             .collect()
+    }
+
+    /// The twelve month-of-year bins, January first: each folds that
+    /// month's bins across the years, chronologically.
+    // month `.index()` is bounded by its type's contract.
+    // mira-lint: allow(panic-reachability)
+    fn month_of_year(&self) -> [BinSummary; 12] {
+        let mut acc: [BinSummary; 12] = std::array::from_fn(|_| BinSummary::new());
+        for (_, month, bin) in &self.months {
+            acc[month.index()].merge(bin);
+        }
+        acc
     }
 
     /// Twelve month-of-year rows, January first (empty months included).
@@ -261,14 +283,12 @@ impl CalendarBins {
     pub fn monthly(&self) -> Vec<MonthProfile> {
         Month::ALL
             .into_iter()
-            .map(|m| {
-                let bin = &self.months[m.index()];
-                MonthProfile {
-                    month: m,
-                    median: bin.median(),
-                    mean: bin.mean(),
-                    count: bin.count(),
-                }
+            .zip(self.month_of_year())
+            .map(|(month, bin)| MonthProfile {
+                month,
+                median: bin.median(),
+                mean: bin.mean(),
+                count: bin.count(),
             })
             .collect()
     }
@@ -290,29 +310,23 @@ impl CalendarBins {
             .collect()
     }
 
-    /// Twenty-four hour-of-day bins (diurnal profile).
-    #[must_use]
-    pub fn by_hour(&self) -> &[BinSummary] {
-        &self.hours
-    }
-
     /// Relative change of each month's median from January's, the
     /// "less than 1.5 % change from January" statistic of Fig. 4.
     ///
     /// Returns `None` when January has no samples or a zero median.
     #[must_use]
-    // months always holds twelve bins; indices are literals or
-    // Month::index(). mira-lint: allow(panic-reachability)
     pub fn monthly_change_from_january(&self) -> Option<Vec<f64>> {
-        let jan = self.months[0].median();
+        let months = self.month_of_year();
+        let [january, ..] = &months;
+        let jan = january.median();
         // Exact-zero divide guard.
-        if self.months[0].count() == 0 || jan == 0.0 {
+        if january.count() == 0 || jan == 0.0 {
             return None;
         }
         Some(
-            Month::ALL
-                .into_iter()
-                .map(|m| (self.months[m.index()].median() - jan) / jan)
+            months
+                .iter()
+                .map(|bin| (bin.median() - jan) / jan)
                 .collect(),
         )
     }
@@ -404,17 +418,110 @@ mod tests {
         assert!(changes.iter().all(|c| c.abs() < 1e-9));
     }
 
+    /// A stream of `n` hourly values from `start` with a non-trivial
+    /// distribution (so the P² markers leave their start-up phase).
+    fn stream(start: Date, n: u32) -> Vec<(SimTime, f64)> {
+        let mut t = SimTime::from_date(start);
+        (0..n)
+            .map(|i| {
+                let v = f64::from((i * 7919) % 1000) / 10.0 + f64::from(i % 24);
+                let sample = (t, v);
+                t += Duration::from_hours(1);
+                sample
+            })
+            .collect()
+    }
+
+    /// The month-derived views, rendered bit for bit.
+    fn month_views(bins: &CalendarBins) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?}",
+            bins.overall(),
+            bins.yearly(),
+            bins.monthly(),
+            bins.monthly_change_from_january()
+        )
+    }
+
     #[test]
-    fn hour_bins_capture_diurnal_pattern() {
+    fn one_month_views_equal_a_sequential_bin() {
+        let samples = stream(Date::new(2016, 3, 1), 31 * 24);
         let mut bins = CalendarBins::new();
-        let mut t = SimTime::from_date(Date::new(2015, 6, 1));
-        for _ in 0..(30 * 24) {
-            let hour = t.to_datetime().hour();
-            bins.push(t, if hour >= 12 { 10.0 } else { 0.0 });
-            t += Duration::from_hours(1);
+        let mut seq = BinSummary::new();
+        for &(t, v) in &samples {
+            bins.push(t, v);
+            seq.push(v);
         }
-        assert_eq!(bins.by_hour()[0].mean(), 0.0);
-        assert_eq!(bins.by_hour()[23].mean(), 10.0);
+        assert_eq!(bins.overall(), seq);
+        let yearly = bins.yearly();
+        let [year] = yearly.as_slice() else {
+            panic!("one year row")
+        };
+        assert_eq!(year.year, 2016);
+        assert_eq!(year.count, seq.count());
+        assert_eq!(year.mean.to_bits(), seq.mean().to_bits());
+        assert_eq!(year.median.to_bits(), seq.median().to_bits());
+        assert_eq!(year.min.to_bits(), seq.min().to_bits());
+        assert_eq!(year.max.to_bits(), seq.max().to_bits());
+        let march = &bins.monthly()[Month::March.index()];
+        assert_eq!(march.count, seq.count());
+        assert_eq!(march.mean.to_bits(), seq.mean().to_bits());
+        assert_eq!(march.median.to_bits(), seq.median().to_bits());
+    }
+
+    #[test]
+    fn month_split_partials_merge_to_the_whole_stream() {
+        // Dec 2015 through Feb 2017: a year seam and two Januaries.
+        let samples = stream(Date::new(2015, 12, 1), 430 * 24);
+        let mut whole = CalendarBins::new();
+        let mut merged = CalendarBins::new();
+        let mut shard = CalendarBins::new();
+        let mut shard_month = None;
+        for &(t, v) in &samples {
+            whole.push(t, v);
+            let key = (t.date().year(), t.date().month());
+            if shard_month.is_some_and(|m| m != key) {
+                merged.merge(&std::mem::take(&mut shard));
+            }
+            shard_month = Some(key);
+            shard.push(t, v);
+        }
+        merged.merge(&shard);
+        assert_eq!(merged.yearly().len(), 3);
+        assert_eq!(month_views(&merged), month_views(&whole));
+        // Weekday bins span every shard, so they pool by merge: counts
+        // exactly, medians approximately.
+        for (m, w) in merged.by_weekday().iter().zip(whole.by_weekday()) {
+            assert_eq!(m.count, w.count);
+            assert!((m.mean - w.mean).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn mid_month_split_pools_counts_and_extremes() {
+        let samples = stream(Date::new(2016, 5, 1), 31 * 24);
+        let (first, second) = samples.split_at(300);
+        let mut whole = CalendarBins::new();
+        let mut a = CalendarBins::new();
+        let mut b = CalendarBins::new();
+        for &(t, v) in first {
+            whole.push(t, v);
+            a.push(t, v);
+        }
+        for &(t, v) in second {
+            whole.push(t, v);
+            b.push(t, v);
+        }
+        a.merge(&b);
+        let (pooled, full) = (a.overall(), whole.overall());
+        assert_eq!(pooled.count(), full.count());
+        assert_eq!(pooled.min().to_bits(), full.min().to_bits());
+        assert_eq!(pooled.max().to_bits(), full.max().to_bits());
+        assert!((pooled.mean() - full.mean()).abs() < 1e-9);
+        assert_eq!(a.yearly().len(), 1);
+        assert_eq!(a.monthly()[Month::May.index()].count, full.count());
+        let days: u64 = a.by_weekday().iter().map(|w| w.count).sum();
+        assert_eq!(days, full.count());
     }
 
     #[test]

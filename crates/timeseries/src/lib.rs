@@ -16,8 +16,9 @@
 //! - [`stats`] — [`Welford`] online moments, percentiles, linear
 //!   regression ([`LinearFit`]), Pearson and Spearman correlation, and the
 //!   streaming [`P2Quantile`] estimator used for calendar-bin medians.
-//! - [`bins`] — [`CalendarBins`], per-year / per-month / per-weekday /
-//!   per-hour accumulators that power the paper's Figs. 2, 4 and 5.
+//! - [`bins`] — [`CalendarBins`], per-calendar-month and per-weekday
+//!   accumulators whose merged yearly and month-of-year views power the
+//!   paper's Figs. 2, 4 and 5.
 //! - [`rolling`] — [`RollingWindow`], the fixed-capacity telemetry ring
 //!   buffer behind CMF lead-up capture.
 //!

@@ -286,7 +286,9 @@ pub struct P2Quantile {
     /// Increments for desired positions.
     dn: [f64; 5],
     count: u64,
-    initial: Vec<f64>,
+    /// Start-up buffer: while `count <= 5` its first `count` slots hold
+    /// the observations so far, sorted; later it is unread.
+    initial: [f64; 5],
 }
 
 impl P2Quantile {
@@ -296,9 +298,6 @@ impl P2Quantile {
     ///
     /// Panics unless `0 < p < 1`.
     #[must_use]
-    // Estimator constructor: the fixed five-slot warm-up buffer is
-    // allocated once per recorder at setup, never per observation.
-    // mira-lint: allow(alloc-in-hot-path)
     pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1), got {p}");
         Self {
@@ -308,7 +307,7 @@ impl P2Quantile {
             np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
             dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
             count: 0,
-            initial: Vec::with_capacity(5),
+            initial: [0.0; 5],
         }
     }
 
@@ -330,10 +329,11 @@ impl P2Quantile {
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         if self.count <= 5 {
-            self.initial.push(x);
-            self.initial.sort_by(f64::total_cmp);
-            if self.count == 5 {
-                self.q.copy_from_slice(&self.initial);
+            let n = convert::usize_from_u64(self.count);
+            self.initial[n - 1] = x;
+            self.initial[..n].sort_by(f64::total_cmp);
+            if n == 5 {
+                self.q = self.initial;
             }
             return;
         }
@@ -416,7 +416,7 @@ impl P2Quantile {
         }
         if other.count <= 5 {
             // The right side still buffers raw values: replay them.
-            for &x in &other.initial {
+            for &x in other.buffered() {
                 self.push(x);
             }
             return;
@@ -424,9 +424,9 @@ impl P2Quantile {
         if self.count <= 5 {
             // Only the left side buffers raw values: adopt the larger
             // state, then replay our buffer into it.
-            let mine = std::mem::take(&mut self.initial);
+            let mine = self.clone();
             *self = other.clone();
-            for x in mine {
+            for &x in mine.buffered() {
                 self.push(x);
             }
             return;
@@ -477,7 +477,17 @@ impl P2Quantile {
                 self.n[i] = self.n[i + 1] - 1.0;
             }
         }
-        self.initial.clear();
+    }
+
+    /// The buffered start-up observations, sorted (empty past start-up).
+    // `count` is at most 5 on the slicing branch.
+    // mira-lint: allow(panic-reachability)
+    fn buffered(&self) -> &[f64] {
+        if self.count <= 5 {
+            &self.initial[..convert::usize_from_u64(self.count)]
+        } else {
+            &[]
+        }
     }
 
     // Called with interior marker index i in 1..4 only; i±1 stay in
@@ -507,9 +517,9 @@ impl P2Quantile {
             return 0.0;
         }
         if self.count <= 5 {
-            // `initial` is kept sorted by `push`, so the exact quantile
+            // The buffer is kept sorted by `push`, so the exact quantile
             // interpolates in place — no copy, no allocation.
-            return percentile_sorted(&self.initial, self.p * 100.0);
+            return percentile_sorted(self.buffered(), self.p * 100.0);
         }
         self.q[2]
     }

@@ -55,12 +55,17 @@ fn seam() -> (SimTime, SimTime, Duration) {
 /// Instants on the grid `from + k·step` inside `[from, to)`.
 const SEAM_INSTANTS: usize = 700;
 
-const SUMMARY_DIGEST: u64 = 0x6fe0_df3b_487f_c898;
+const SUMMARY_DIGEST: u64 = 0x22b3_23cf_9d16_767a;
 const OBS_JSON_DIGEST: u64 = 0x540e_8122_3544_068c;
 const FULL_REPORT_DIGEST: u64 = 0xb585_3e8d_bac6_bbae;
 const EXPORT_CSV_DIGEST: u64 = 0x8130_8f1d_d880_f528;
 const EXPORT_NDJSON_DIGEST: u64 = 0x8330_1059_3e36_df9d;
-const INCREMENTAL_SUMMARY_DIGEST: u64 = 0x9f6a_5a92_69a9_ed2f;
+const INCREMENTAL_SUMMARY_DIGEST: u64 = 0x2a7c_1eb6_1b50_c16f;
+/// The figure report over the seam span: batch at any thread count and
+/// incremental alike. Unlike the summary digests it hashes only what
+/// the figures read, so it stays fixed when the summary's internal
+/// layout changes.
+const SEAM_REPORT_DIGEST: u64 = 0x4651_eade_7b32_bb2e;
 
 #[test]
 fn seam_span_is_ragged_and_crosses_both_seams() {
@@ -87,6 +92,25 @@ fn summary_digest_is_frozen_at_any_thread_count() {
             u64::try_from(SEAM_INSTANTS).expect("small")
         );
         assert_eq!(digest_debug(&summary), SUMMARY_DIGEST, "threads={threads}");
+    }
+}
+
+#[test]
+fn seam_report_digest_is_frozen() {
+    let (from, to, step) = seam();
+    for threads in [1, 2, 0] {
+        let summary = sim()
+            .sweep_plan((from, to))
+            .step(step)
+            .threads(threads)
+            .summary()
+            .expect("non-empty span");
+        let report = full_report(sim(), &summary);
+        assert_eq!(
+            digest_debug(&report),
+            SEAM_REPORT_DIGEST,
+            "threads={threads}"
+        );
     }
 }
 
@@ -181,8 +205,9 @@ fn ragged_export_spans_keep_their_rows_and_bytes() {
     }
 }
 
-#[test]
-fn incremental_summary_digest_is_frozen() {
+/// The seam span ingested in ragged chunks that cross block edges and
+/// the month seam.
+fn seam_incremental() -> IncrementalSweep {
     let (from, _, step) = seam();
     let mut inc = IncrementalSweep::builder(from)
         .step(step)
@@ -194,6 +219,17 @@ fn incremental_summary_digest_is_frozen() {
         inc.ingest(sim().telemetry(), chunk)
             .expect("grid-ordered ingest");
     }
-    let summary = inc.summary().expect("non-empty");
+    inc
+}
+
+#[test]
+fn incremental_summary_digest_is_frozen() {
+    let summary = seam_incremental().summary().expect("non-empty");
     assert_eq!(digest_debug(&summary), INCREMENTAL_SUMMARY_DIGEST);
+}
+
+#[test]
+fn incremental_report_digest_is_frozen() {
+    let report = seam_incremental().figures(sim()).expect("non-empty");
+    assert_eq!(digest_debug(&report), SEAM_REPORT_DIGEST);
 }
