@@ -272,8 +272,8 @@ impl<'e> SweepPlan<'e> {
     /// not positive.
     // Per-sweep setup only: the shard list, result slots, and recorder
     // vector are built once per run; the per-step k-loop folds through a
-    // reused SweepScratch and allocates nothing (BENCH_sweep.json gates
-    // this). mira-lint: allow(alloc-in-hot-path)
+    // reused SweepScratch and allocates nothing (tests/text_path_allocs.rs
+    // gates this). mira-lint: allow(alloc-in-hot-path)
     pub fn run<R, F>(&self, factory: F) -> Result<R::Output, Error>
     where
         R: Recorder + Send,

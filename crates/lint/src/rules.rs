@@ -66,9 +66,10 @@ pub const DETERMINISM_ROOT_FILES: [&str; 2] =
 /// fn): the sweep engine, plus the per-row telemetry quantizer and
 /// renderers every export and archive surface runs. Configured, not
 /// inferred: "hot" is a property of the measured profile
-/// (BENCH_sweep.json pins 0 allocs/step; the archive benchmark's
-/// `archive.allocs_per_row` the text path), not something a static
-/// walk can discover — see DESIGN.md §10.
+/// (tests/text_path_allocs.rs pins the sweep's allocs/step and the
+/// text path's per-row count; the archive benchmark reports
+/// `archive.allocs_per_row`), not something a static walk can
+/// discover — see DESIGN.md §10.
 pub const HOT_ROOT_FNS: [(&str, &str, &str); 7] = [
     ("core", "SweepPlan", "run"),
     ("core", "TelemetryEngine", "sweep_step_into"),
@@ -289,7 +290,7 @@ impl Rule {
             Rule::AllocInHotPath => {
                 "alloc-in-hot-path (semantic rule)\n\n\
                  The sweep engine's measured contract is ~0 heap allocations per\n\
-                 simulated step (BENCH_sweep.json); every buffer is owned by\n\
+                 simulated step (tests/text_path_allocs.rs); every buffer is owned by\n\
                  SweepScratch and reused via clear()+push. This rule walks the\n\
                  call graph from the configured hot roots (SweepPlan::run, the\n\
                  batched kernel TelemetryEngine::sweep_steps_into and its\n\

@@ -22,8 +22,20 @@
 //! scripted client branches on the same codes a batch invocation would
 //! exit with; protocol-level problems (bad JSON, unknown command,
 //! missing field) use the CLI's usage code `2` under kind `"usage"`.
+//! A well-formed request that asks for more work than a serve cap
+//! allows ([`MAX_INGEST_STEPS`], [`MAX_EPOCHS`]) is refused with the
+//! same code under kind `"limit"`.
 
 use crate::json::Json;
+
+/// Most grid instants one `ingest` request may append: 31 days at the
+/// paper's 300 s cadence. Ingest holds the sweep write lock, so an
+/// uncapped request would block every query behind it.
+pub const MAX_INGEST_STEPS: usize = 31 * 288;
+
+/// Most training epochs one `predict` request may ask for: four times
+/// the paper's 50.
+pub const MAX_EPOCHS: usize = 200;
 
 /// A decoded protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,20 +108,51 @@ impl Request {
     }
 }
 
-/// A request that could not be decoded; carries the echoed id.
+/// A request that could not be decoded, or that exceeds a serve cap;
+/// carries the echoed id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestError {
     /// The request's `"id"` (or `Json::Null`), echoed in the reply.
     pub id: Json,
     /// Human-readable description of the problem.
     pub message: String,
+    /// The request was well-formed but over a cap.
+    pub over_limit: bool,
+}
+
+impl RequestError {
+    /// The error reply: kind `"limit"` for an over-cap request,
+    /// `"usage"` otherwise (exit code 2 either way).
+    #[must_use]
+    pub fn reply(&self) -> String {
+        if self.over_limit {
+            limit_error_reply(&self.id, &self.message)
+        } else {
+            usage_error_reply(&self.id, &self.message)
+        }
+    }
 }
 
 fn bad(id: &Json, message: impl Into<String>) -> RequestError {
     RequestError {
         id: id.clone(),
         message: message.into(),
+        over_limit: false,
     }
+}
+
+/// `value` when it is at most `cap`, else a `limit` error naming `key`.
+fn capped(id: &Json, key: &str, value: usize, cap: usize) -> Result<usize, RequestError> {
+    if value <= cap {
+        return Ok(value);
+    }
+    Err(RequestError {
+        over_limit: true,
+        ..bad(
+            id,
+            format!("\"{key}\" is {value}; at most {cap} per request"),
+        )
+    })
 }
 
 /// Decodes one request line into a [`Request`] and its echo id.
@@ -117,7 +160,9 @@ fn bad(id: &Json, message: impl Into<String>) -> RequestError {
 /// # Errors
 ///
 /// [`RequestError`] (usage, exit code 2) on malformed JSON, a missing
-/// or unknown `"cmd"`, or malformed parameters.
+/// or unknown `"cmd"`, or malformed parameters; (limit, exit code 2)
+/// on `ingest` steps over [`MAX_INGEST_STEPS`] or `predict` epochs
+/// over [`MAX_EPOCHS`].
 pub fn parse_request(line: &str) -> Result<(Request, Json), RequestError> {
     let doc = match Json::parse(line) {
         Ok(doc) => doc,
@@ -149,10 +194,20 @@ pub fn parse_request(line: &str) -> Result<(Request, Json), RequestError> {
                 .min(24 * 365)
                 .cast_signed(),
             events: usize_field(&doc, &id, "events", 150)?,
-            epochs: usize_field(&doc, &id, "epochs", 30)?,
+            epochs: capped(
+                &id,
+                "epochs",
+                usize_field(&doc, &id, "epochs", 30)?,
+                MAX_EPOCHS,
+            )?,
         },
         "ingest" => Request::Ingest {
-            steps: usize_field_required(&doc, &id, "steps")?,
+            steps: capped(
+                &id,
+                "steps",
+                usize_field_required(&doc, &id, "steps")?,
+                MAX_INGEST_STEPS,
+            )?,
         },
         "replay" => Request::Replay {
             from: optional_u64(&doc, &id, "from")?,
@@ -247,11 +302,12 @@ pub fn usage_error_reply(id: &Json, message: &str) -> String {
     error_reply(id, "usage", 2, message)
 }
 
-/// An error reply for a request refused by a size limit before it was
-/// parsed, so its `id` is unknown (exit code 2, like a usage error).
+/// An error reply for a request refused by a size limit (exit code 2,
+/// like a usage error). A line refused before it was parsed has no
+/// known id: pass `Json::Null`.
 #[must_use]
-pub fn limit_error_reply(message: &str) -> String {
-    error_reply(&Json::Null, "limit", 2, message)
+pub fn limit_error_reply(id: &Json, message: &str) -> String {
+    error_reply(id, "limit", 2, message)
 }
 
 #[cfg(test)]
@@ -347,10 +403,54 @@ mod tests {
             "{\"cmd\":\"replay\",\"limit\":\"many\"}",
         ] {
             let e = parse_request(line).unwrap_err();
-            let reply = usage_error_reply(&e.id, &e.message);
+            let reply = e.reply();
+            assert_eq!(reply, usage_error_reply(&e.id, &e.message));
             assert!(reply.contains("\"exit_code\":2"), "{line} -> {reply}");
             assert!(reply.contains("\"kind\":\"usage\""), "{line} -> {reply}");
         }
+    }
+
+    #[test]
+    fn ingest_steps_are_capped() {
+        let at = format!("{{\"cmd\":\"ingest\",\"steps\":{MAX_INGEST_STEPS}}}");
+        let (req, _) = parse_request(&at).expect("at the cap");
+        assert_eq!(
+            req,
+            Request::Ingest {
+                steps: MAX_INGEST_STEPS
+            }
+        );
+
+        // 2^53 is the largest integer a request can carry exactly.
+        for steps in [MAX_INGEST_STEPS as u64 + 1, 1 << 53] {
+            let line = format!("{{\"cmd\":\"ingest\",\"steps\":{steps},\"id\":4}}");
+            let e = parse_request(&line).unwrap_err();
+            assert!(e.over_limit, "{line}");
+            let reply = e.reply();
+            assert_eq!(reply, limit_error_reply(&Json::Num(4.0), &e.message));
+            assert!(reply.starts_with("{\"ok\":false,\"id\":4,"), "{reply}");
+            assert!(reply.contains("\"kind\":\"limit\""), "{reply}");
+            assert!(reply.contains("\"exit_code\":2"), "{reply}");
+        }
+    }
+
+    #[test]
+    fn predict_epochs_are_capped() {
+        let at = format!("{{\"cmd\":\"predict\",\"epochs\":{MAX_EPOCHS}}}");
+        let (req, _) = parse_request(&at).expect("at the cap");
+        assert_eq!(
+            req,
+            Request::Predict {
+                lead_hours: 3,
+                events: 150,
+                epochs: MAX_EPOCHS
+            }
+        );
+
+        let over = format!("{{\"cmd\":\"predict\",\"epochs\":{}}}", MAX_EPOCHS + 1);
+        let e = parse_request(&over).unwrap_err();
+        assert!(e.over_limit);
+        assert!(e.reply().contains("\"kind\":\"limit\""), "{}", e.reply());
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl ServeState {
             }
             Err(e) => {
                 self.lock_stats().note_invalid();
-                usage_error_reply(&e.id, &e.message)
+                e.reply()
             }
         };
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -225,9 +225,12 @@ impl ServeState {
     #[must_use]
     pub fn reject_oversized(&self) -> String {
         self.lock_stats().note_invalid();
-        limit_error_reply(&format!(
-            "request line exceeds {MAX_LINE_BYTES} bytes; discarded through the next newline"
-        ))
+        limit_error_reply(
+            &Json::Null,
+            &format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes; discarded through the next newline"
+            ),
+        )
     }
 
     fn dispatch(&self, request: &Request, id: &Json) -> String {

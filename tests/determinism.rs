@@ -111,6 +111,27 @@ fn parallel_sweep_matches_sequential_exactly() {
     assert_eq!(sequential, sweep(0), "auto thread count");
 }
 
+/// A step longer than a month leaves some calendar months without a
+/// grid instant, so each shard's month bins skip months and its
+/// overall and yearly views merge bins that are not adjacent. The
+/// summary must still be the same at every thread count.
+#[test]
+fn step_longer_than_a_month_is_thread_invariant() {
+    let sim = Simulation::new(SimConfig::with_seed(2014));
+    let sweep = |threads: usize| {
+        sim.sweep_plan(FullSpan)
+            .step(Duration::from_days(45))
+            .threads(threads)
+            .summary()
+            .expect("six-year span is non-empty")
+    };
+    let sequential = sweep(1);
+    // 2191 days at one instant per 45 days.
+    assert_eq!(sequential.power_mw.bins.overall().count(), 49);
+    assert_eq!(sequential, sweep(2), "threads=2");
+    assert_eq!(sequential, sweep(0), "auto thread count");
+}
+
 /// Month-aligned sub-sweeps merged chronologically reproduce the
 /// single sweep's counts exactly and its means to rounding error.
 #[test]

@@ -2,11 +2,12 @@
 //! "Opportunity" paragraphs, run against the real simulated world.
 
 use mira_core::{
-    compare_policies, CmfPredictor, DatasetBuilder, Duration, FeatureConfig, MitigationCosts,
-    PredictorConfig, SimConfig, SimTime, Simulation,
+    analysis, compare_policies, CmfPredictor, DatasetBuilder, Date, Duration, FeatureConfig,
+    MitigationCosts, PredictorConfig, SimConfig, SimTime, Simulation,
 };
+use mira_facility::{ClockTree, RackId};
 use mira_predictor::{LocationPredictor, ThresholdDetector};
-use mira_ras::{PhaseRates, WeibullFit};
+use mira_ras::{FailureDeduplicator, PhaseRates, WeibullFit};
 use mira_workload::{hole_filling_experiment, ElasticPool};
 
 fn trained(sim: &Simulation, events: usize) -> (CmfPredictor, DatasetBuilder) {
@@ -139,4 +140,58 @@ fn checkpoint_economics_reward_the_real_predictor() {
         report.none.total()
     );
     assert!(report.gated.total() < report.periodic.total());
+}
+
+/// Ablation: the waterside economizer. Without it the chillers would
+/// also spend the energy free cooling saved, so a year with any cold
+/// weather must show a positive saving.
+#[test]
+fn economizer_saves_chiller_energy_in_2015() {
+    let sim = Simulation::new(SimConfig::with_seed(2014));
+    let summary = sim
+        .summarize(
+            SimTime::from_date(Date::new(2015, 1, 1))..SimTime::from_date(Date::new(2016, 1, 1)),
+            Duration::from_hours(1),
+        )
+        .expect("valid span");
+    let report = analysis::free_cooling_report(&summary);
+    let (year, saved) = report.saved_by_year[0];
+    assert_eq!(year, 2015);
+    assert!(saved.value() > 0.0, "economizer saved {saved} in 2015");
+}
+
+/// Ablation: the CMF de-dup window. A longer window can only fold more
+/// of a storm's follow-on reports into its first event, and the
+/// paper's 6 h rack recovery time counts its 361 failures.
+#[test]
+fn counted_cmfs_fall_as_the_dedup_window_grows() {
+    let sim = Simulation::new(SimConfig::with_seed(2014));
+    let counts: Vec<(i64, usize)> = [1, 3, 6, 12, 24]
+        .into_iter()
+        .map(|hours| {
+            let mut dedup =
+                FailureDeduplicator::new(Duration::from_hours(hours), Duration::from_hours(1));
+            let cmfs = dedup
+                .filter(sim.ras_log().raw())
+                .iter()
+                .filter(|e| e.kind.is_cmf())
+                .count();
+            (hours, cmfs)
+        })
+        .collect();
+    for pair in counts.windows(2) {
+        assert!(pair[1].1 <= pair[0].1, "{counts:?}");
+    }
+    assert!(counts.contains(&(6, 361)), "{counts:?}");
+}
+
+/// Ablation: the clock-dependency tree. With isolated clocks an
+/// epicenter failure takes down its own rack only; the shared tree
+/// makes the mean loss per epicenter larger than one rack.
+#[test]
+fn clock_tree_widens_the_mean_epicenter_loss() {
+    let tree = ClockTree::mira();
+    let lost: usize = RackId::all().map(|r| tree.affected_by(r).len()).sum();
+    let mean = lost as f64 / RackId::all().count() as f64;
+    assert!(mean > 1.0, "mean racks lost per epicenter {mean}");
 }

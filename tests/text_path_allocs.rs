@@ -1,13 +1,14 @@
-//! Allocation gate for the telemetry text path: exporting a sweep to
-//! CSV or NDJSON, and packing a CSV archive into the columnar store,
-//! allocate a fixed number of times however many rows they carry.
+//! Allocation gates for the telemetry sweep and its text path.
 //!
 //! A counting global allocator wraps the system one for this test
-//! binary. Each path runs over a 1-day and a 3-day span (13,824 and
-//! 41,472 rows at a 5-minute step); the two counts may differ only by
-//! the logarithmic growth of the buffers that hold whole spans or
-//! files (the store's row-group index, its footer), never by a per-row
-//! or per-group term.
+//! binary. Exporting a sweep to CSV or NDJSON, and packing a CSV
+//! archive into the columnar store, allocate a fixed number of times
+//! however many rows they carry: each path runs over a 1-day and a
+//! 3-day span (13,824 and 41,472 rows at a 5-minute step), and the two
+//! counts may differ only by the logarithmic growth of the buffers that
+//! hold whole spans or files (the store's row-group index, its footer),
+//! never by a per-row or per-group term. The summary sweep behind
+//! every figure stays under its recorded allocations per step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -183,4 +184,41 @@ fn export_and_pack_allocate_independently_of_row_count() {
             "{what}: {one} allocations for {rows1} rows but {three} for {rows3}"
         );
     }
+}
+
+/// Recorded steady-state allocations per step of the single-thread
+/// summary sweep over March-May 2016 at a 5-minute step. A per-block
+/// allocation alone costs 1/16 per step; a per-step one, 1.
+const SWEEP_ALLOCS_PER_STEP: f64 = 0.0297;
+
+#[test]
+fn summary_sweep_stays_under_its_recorded_allocs_per_step() {
+    let sim = Simulation::new(SimConfig::with_seed(2014));
+    let from = SimTime::from_date(Date::new(2016, 3, 1));
+    let to = SimTime::from_date(Date::new(2016, 6, 1));
+    let sweep = |to: SimTime| {
+        sim.sweep_plan((from, to))
+            .step(STEP)
+            .threads(1)
+            .summary()
+            .expect("non-empty span")
+    };
+    let steps = (to - from).as_seconds() / STEP.as_seconds();
+    assert_eq!(steps, 26_496, "three month shards");
+
+    // Warm-up: the kernel's lazily built state is paid before counting.
+    sweep(from + STEP * 32);
+
+    // The first half of the same grid pays the same per-sweep setup and
+    // finish work (shard list, recorders, series assembly), so the
+    // difference is the cost of the second half's steps alone.
+    let half = steps / 2;
+    let (_, whole) = count(|| sweep(to));
+    let (_, first_half) = count(|| sweep(from + STEP * half));
+    let per_step = whole.saturating_sub(first_half) as f64 / (steps - half) as f64;
+    eprintln!("summary sweep: {whole} allocations, {per_step:.4} per step");
+    assert!(
+        per_step <= SWEEP_ALLOCS_PER_STEP,
+        "{per_step:.4} allocations per step exceeds the recorded {SWEEP_ALLOCS_PER_STEP}"
+    );
 }
