@@ -157,9 +157,11 @@ rm -rf "$store_dir"
 # The benchmark (opsbench/) is a workspace of its own, so no step above
 # compiles it. One short reproduce run keeps it building against the
 # current crates and requires its run to verify. It writes only under
-# the gitignored opsbench/target and opsbench/work.
+# the gitignored opsbench/target and opsbench/work. `--locked` fails the
+# step when a dependency-edge change in a crate would rewrite
+# opsbench/Cargo.lock, instead of rewriting it silently.
 echo "==> opsbench smoke (reproduce, 1 s)"
-opsbench_result="$(cargo run --release --quiet --offline --manifest-path opsbench/Cargo.toml -- \
+opsbench_result="$(cargo run --release --quiet --offline --locked --manifest-path opsbench/Cargo.toml -- \
   --workload reproduce --seed 1 --seconds 1 --trace 0 | tail -n 1)"
 if ! printf '%s' "$opsbench_result" | grep -q '"correct":true' ||
   ! printf '%s' "$opsbench_result" | grep -q '"failed":0[,}]'; then

@@ -49,7 +49,7 @@
 //! ```
 
 use mira_obs::{ObsMode, ObsReport};
-use mira_timeseries::{Date, Duration, SimTime};
+use mira_timeseries::{Duration, SimTime};
 use mira_units::convert;
 
 use crate::analysis::{full_report, FigureReport};
@@ -57,7 +57,7 @@ use crate::error::Error;
 use crate::obs::{keys, record_executor_shape, ObservedSweep, SweepObsRecorder};
 use crate::simulation::Simulation;
 use crate::summary::SweepSummary;
-use crate::sweep::{Recorder, SweepError, SWEEP_BLOCK};
+use crate::sweep::{fold_grid, MonthStarts, Recorder, SweepError};
 use crate::telemetry::{SweepScratch, TelemetryEngine};
 
 /// One shard's running state: the summary and its riding obs recorder,
@@ -112,22 +112,18 @@ impl IncrementalSweepBuilder {
         if self.step.as_seconds() <= 0 {
             return Err(SweepError::NonPositiveStep.into());
         }
-        let first = self.from.date();
-        let mut inc = IncrementalSweep {
+        let mut month_starts = MonthStarts::new(self.from, self.step);
+        Ok(IncrementalSweep {
             from: self.from,
             step: self.step,
             mode: self.mode,
             next_k: 0,
-            shard_start: 0,
-            cursor_year: first.year(),
-            cursor_month: first.month().number(),
-            next_boundary: 0,
+            next_boundary: month_starts.next().unwrap_or(usize::MAX),
+            month_starts,
             prefix: None,
             open: None,
             scratch: None,
-        };
-        inc.advance_boundary();
-        Ok(inc)
+        })
     }
 }
 
@@ -147,13 +143,10 @@ pub struct IncrementalSweep {
     mode: ObsMode,
     /// Grid index of the next expected instant (= instants ingested).
     next_k: usize,
-    /// Grid index where the open shard began.
-    shard_start: usize,
-    /// Calendar cursor trailing the month-boundary scan.
-    cursor_year: i32,
-    cursor_month: u8,
     /// Grid index at which the open shard rolls into the prefix.
     next_boundary: usize,
+    /// The shard starts after `next_boundary`.
+    month_starts: MonthStarts,
     /// Chronological fold of all completed calendar-month shards.
     prefix: Option<ShardState>,
     /// The calendar-month shard currently being ingested.
@@ -199,40 +192,6 @@ impl IncrementalSweep {
         (self.from, self.next_time())
     }
 
-    /// Finds the next shard-boundary grid index after `shard_start`:
-    /// the first-of-month scan from [`crate::sweep`]'s `month_shards`,
-    /// with the same ceil rounding and the same strictly-increasing
-    /// rule (a step longer than a month skips boundaries that land on
-    /// an already-started shard).
-    fn advance_boundary(&mut self) {
-        let step_s = self.step.as_seconds();
-        loop {
-            self.cursor_month += 1;
-            if self.cursor_month > 12 {
-                self.cursor_month = 1;
-                self.cursor_year += 1;
-            }
-            let boundary = SimTime::from_date(Date::new(self.cursor_year, self.cursor_month, 1));
-            let offset = (boundary - self.from).as_seconds();
-            let idx = convert::usize_from_i64((offset + step_s - 1) / step_s);
-            if idx > self.shard_start {
-                self.next_boundary = idx;
-                return;
-            }
-        }
-    }
-
-    /// A fresh shard seed. The span is a placeholder: the batch
-    /// executor seeds every shard with the full plan span, which only
-    /// survives into the output's `span` metadata field — queries patch
-    /// it to the ingested span before finishing.
-    fn fresh_shard(&self) -> ShardState {
-        (
-            SweepSummary::empty((self.from, self.from), self.step),
-            SweepObsRecorder::new(self.mode),
-        )
-    }
-
     /// Merges the open shard into the prefix — the exact chronological
     /// merge the batch executor performs at this month seam.
     fn roll_shard(&mut self) {
@@ -242,8 +201,7 @@ impl IncrementalSweep {
                 None => self.prefix = Some(open),
             }
         }
-        self.shard_start = self.next_boundary;
-        self.advance_boundary();
+        self.next_boundary = self.month_starts.next().unwrap_or(usize::MAX);
     }
 
     /// Computes and appends the next `steps` grid instants from
@@ -266,24 +224,24 @@ impl IncrementalSweep {
             Some(s) => s,
             None => engine.sweep_scratch(),
         };
-        let mut remaining = steps;
-        while remaining > 0 {
+        let end = self.next_k.saturating_add(steps);
+        while self.next_k < end {
             if self.next_k == self.next_boundary {
                 self.roll_shard();
             }
-            if self.open.is_none() {
-                self.open = Some(self.fresh_shard());
-            }
-            let n = remaining
-                .min(SWEEP_BLOCK)
-                .min(self.next_boundary - self.next_k);
-            engine.sweep_steps_into(self.next_time(), self.step, n, &mut scratch);
-            let (block, staging) = scratch.block_parts();
-            if let Some(open) = self.open.as_mut() {
-                open.record_block(block, staging);
-            }
-            self.next_k += n;
-            remaining -= n;
+            // The batch executor seeds every shard with the full plan
+            // span, which only survives into the output's `span`
+            // metadata field; `folded` patches it to the ingested span.
+            let (from, step, mode) = (self.from, self.step, self.mode);
+            let open = self.open.get_or_insert_with(|| {
+                (
+                    SweepSummary::empty((from, from), step),
+                    SweepObsRecorder::new(mode),
+                )
+            });
+            let hi = end.min(self.next_boundary);
+            fold_grid(engine, from, step, self.next_k, hi, &mut scratch, open);
+            self.next_k = hi;
         }
         self.scratch = Some(scratch);
         Ok(())
@@ -394,6 +352,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::simulation::SimConfig;
+    use mira_timeseries::Date;
 
     fn t(y: i32, m: u8, d: u8) -> SimTime {
         SimTime::from_date(Date::new(y, m, d))

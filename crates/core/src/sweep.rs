@@ -292,15 +292,7 @@ impl<'e> SweepPlan<'e> {
         let (from, step) = (self.from, self.step);
         let run_shard = |&(lo, hi): &(usize, usize), scratch: &mut SweepScratch| -> R {
             let mut recorder = factory();
-            let mut k = lo;
-            while k < hi {
-                let n = (hi - k).min(SWEEP_BLOCK);
-                let t = from + step * convert::i64_from_usize(k);
-                engine.sweep_steps_into(t, step, n, scratch);
-                let (block, staging) = scratch.block_parts();
-                recorder.record_block(block, staging);
-                k += n;
-            }
+            fold_grid(engine, from, step, lo, hi, scratch, &mut recorder);
             recorder
         };
 
@@ -386,9 +378,81 @@ impl<'e> SweepPlan<'e> {
     }
 }
 
+/// Folds grid indices `[lo, hi)` of `t = from + k·step` into
+/// `recorder`, [`SWEEP_BLOCK`] instants at a time through the batched
+/// kernel. The one per-step loop of both the batch executor and
+/// [`crate::IncrementalSweep::ingest`].
+pub(crate) fn fold_grid<R: Recorder>(
+    engine: &TelemetryEngine,
+    from: SimTime,
+    step: Duration,
+    lo: usize,
+    hi: usize,
+    scratch: &mut SweepScratch,
+    recorder: &mut R,
+) {
+    let mut k = lo;
+    while k < hi {
+        let n = (hi - k).min(SWEEP_BLOCK);
+        let t = from + step * convert::i64_from_usize(k);
+        engine.sweep_steps_into(t, step, n, scratch);
+        let (block, staging) = scratch.block_parts();
+        recorder.record_block(block, staging);
+        k += n;
+    }
+}
+
+/// The calendar-month shard starts after index 0 on the sample grid
+/// `t = from + k·step`: the first grid index at or after each
+/// first-of-month after `from`. Strictly increasing — a step longer
+/// than a month can land two boundaries on the same index, and the
+/// later one is skipped. Unbounded; depends only on `(from, step)`.
+#[derive(Debug, Clone)]
+pub(crate) struct MonthStarts {
+    from: SimTime,
+    step_s: i64,
+    year: i32,
+    month: u8,
+    last: usize,
+}
+
+impl MonthStarts {
+    pub(crate) fn new(from: SimTime, step: Duration) -> Self {
+        let first = from.date();
+        Self {
+            from,
+            step_s: step.as_seconds(),
+            year: first.year(),
+            month: first.month().number(),
+            last: 0,
+        }
+    }
+}
+
+impl Iterator for MonthStarts {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            self.month += 1;
+            if self.month > 12 {
+                self.month = 1;
+                self.year += 1;
+            }
+            let boundary = SimTime::from_date(Date::new(self.year, self.month, 1));
+            let offset = (boundary - self.from).as_seconds();
+            let idx = convert::usize_from_i64((offset + self.step_s - 1) / self.step_s);
+            if idx > self.last {
+                self.last = idx;
+                return Some(idx);
+            }
+        }
+    }
+}
+
 /// Cuts the sample grid `t = from + k·step`, `k < n`, into
-/// calendar-month shards: shard boundaries sit at the first grid index
-/// at or after each first-of-month inside the span. Depends only on
+/// calendar-month shards starting at index 0 and at each
+/// [`MonthStarts`] index inside the grid. Depends only on
 /// `(from, to, step)` — never on the worker count.
 // Runs once per sweep to cut the grid into shards; the boundary vector
 // is proportional to span months, not step count, and this is never
@@ -398,32 +462,9 @@ pub(crate) fn month_shards(from: SimTime, to: SimTime, step: Duration) -> Vec<(u
     let total_s = (to - from).as_seconds();
     // Number of grid points in [from, to): ceil(total / step).
     let n = convert::usize_from_i64((total_s + step_s - 1) / step_s);
-
-    let mut starts: Vec<usize> = vec![0];
-    let first = from.date();
-    let (mut year, mut month) = (first.year(), first.month().number());
-    loop {
-        month += 1;
-        if month > 12 {
-            month = 1;
-            year += 1;
-        }
-        let boundary = SimTime::from_date(Date::new(year, month, 1));
-        if boundary >= to {
-            break;
-        }
-        let offset = (boundary - from).as_seconds();
-        let idx = convert::usize_from_i64((offset + step_s - 1) / step_s);
-        if idx >= n {
-            break;
-        }
-        // A step longer than a month can land two boundaries on the
-        // same grid index; keep shard starts strictly increasing.
-        if starts.last().is_some_and(|&last| idx > last) {
-            starts.push(idx);
-        }
-    }
-
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(MonthStarts::new(from, step).take_while(|&idx| idx < n))
+        .collect();
     starts
         .iter()
         .zip(starts.iter().skip(1).chain(std::iter::once(&n)))

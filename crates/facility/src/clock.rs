@@ -100,12 +100,6 @@ impl ClockTree {
         self.parents[rack.index()]
     }
 
-    /// Whether `rack` owns a clock card (master or leader).
-    #[must_use]
-    pub fn has_clock_card(&self, rack: RackId) -> bool {
-        self.parents[rack.index()] == Some(self.master) || rack == self.master
-    }
-
     /// Whether `dependent`'s clock path passes through `source`.
     #[must_use]
     pub fn depends_on(&self, dependent: RackId, source: RackId) -> bool {

@@ -1,6 +1,5 @@
 //! The multi-layer perceptron and its training loop.
 
-use mira_obs::{NoopSink, Sink};
 use mira_units::convert;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,24 +9,6 @@ use crate::activation::Activation;
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::Loss;
 use crate::optimizer::{Optimizer, OptimizerState};
-
-/// Metric keys emitted by [`Mlp::train_with_validation_observed`].
-pub mod obs_keys {
-    /// Epochs actually run.
-    pub const EPOCHS: &str = "nn.epochs";
-    /// Per-epoch mean training loss (gauge: mean over epochs).
-    pub const TRAIN_LOSS: &str = "nn.train_loss";
-    /// Per-epoch validation loss (gauge: mean over epochs).
-    pub const VALIDATION_LOSS: &str = "nn.validation_loss";
-    /// Runs that early stopping halted for lack of validation
-    /// improvement.
-    pub const EARLY_STOP_PATIENCE: &str = "nn.early_stop.patience";
-    /// Runs that exhausted the configured epoch budget.
-    pub const EARLY_STOP_EXHAUSTED: &str = "nn.early_stop.exhausted";
-    /// The training-run span name (one span per call; its `steps` count
-    /// epochs run).
-    pub const TRAIN_SPAN: &str = "nn.train";
-}
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -184,35 +165,11 @@ impl Mlp {
         val_y: &[f64],
         config: &TrainConfig,
     ) -> TrainOutcome {
-        self.train_with_validation_observed(x, y, val_x, val_y, config, &mut NoopSink)
-    }
-
-    /// [`Mlp::train_with_validation`] with an instrumentation sink:
-    /// counts epochs, samples the loss curves, tallies the run as an
-    /// [`obs_keys::TRAIN_SPAN`] span whose `steps` are epochs run, and
-    /// records why training stopped ([`obs_keys::EARLY_STOP_PATIENCE`]
-    /// vs [`obs_keys::EARLY_STOP_EXHAUSTED`]). With a [`NoopSink`]
-    /// every hook inlines to nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`Mlp::train`].
-    pub fn train_with_validation_observed<S: Sink>(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        val_x: &[Vec<f64>],
-        val_y: &[f64],
-        config: &TrainConfig,
-        sink: &mut S,
-    ) -> TrainOutcome {
         let mut train_loss = Vec::new();
         let mut validation_loss = Vec::new();
         let mut best: Option<(f64, Vec<Dense>)> = None;
         let mut stale = 0usize;
         let mut epochs_run = 0usize;
-        let mut halted = false;
-        sink.span_begin(obs_keys::TRAIN_SPAN, 0);
 
         // Run epoch-by-epoch so validation can interrupt; each call to
         // `train` below does exactly one epoch with continued state via
@@ -222,13 +179,10 @@ impl Mlp {
             let loss = session.run_epoch(x, y, config);
             train_loss.push(loss);
             epochs_run += 1;
-            sink.add(obs_keys::EPOCHS, 1);
-            sink.gauge(obs_keys::TRAIN_LOSS, loss);
 
             if !val_x.is_empty() {
                 let vl = session.network().evaluate(val_x, val_y, config.loss);
                 validation_loss.push(vl);
-                sink.gauge(obs_keys::VALIDATION_LOSS, vl);
                 let improved = best.as_ref().is_none_or(|(b, _)| vl < *b);
                 if improved {
                     best = Some((vl, session.network().layers.clone()));
@@ -236,18 +190,11 @@ impl Mlp {
                 } else {
                     stale += 1;
                     if config.patience.is_some_and(|p| stale >= p) {
-                        halted = true;
                         break;
                     }
                 }
             }
         }
-        if halted {
-            sink.add(obs_keys::EARLY_STOP_PATIENCE, 1);
-        } else {
-            sink.add(obs_keys::EARLY_STOP_EXHAUSTED, 1);
-        }
-        sink.span_end(obs_keys::TRAIN_SPAN, convert::u64_from_usize(epochs_run));
         if let Some((_, layers)) = best {
             self.layers = layers;
         }
@@ -520,76 +467,6 @@ mod tests {
         assert_eq!(a, b, "identical weights");
         assert_eq!(plain, outcome.train_loss);
         assert!(outcome.validation_loss.is_empty());
-    }
-
-    #[test]
-    fn observed_training_reports_epochs_losses_and_stop_reason() {
-        use mira_obs::{Collector, ManualClock};
-
-        let (x, y) = xor_data();
-        let vy: Vec<f64> = y.iter().map(|l| 1.0 - l).collect();
-        let cfg = TrainConfig {
-            epochs: 500,
-            batch_size: 4,
-            patience: Some(5),
-            ..TrainConfig::default()
-        };
-
-        // Instrumentation must not perturb training.
-        let mut plain = Mlp::new(&[2, 8, 1], Activation::Tanh, Activation::Sigmoid, 11);
-        let mut observed = plain.clone();
-        let expected = plain.train_with_validation(&x, &y, &x, &vy, &cfg);
-        let mut sink = Collector::with_clock(ManualClock::new());
-        let outcome = observed.train_with_validation_observed(&x, &y, &x, &vy, &cfg, &mut sink);
-        assert_eq!(plain, observed);
-        assert_eq!(expected, outcome);
-
-        let report = sink.into_report();
-        let epochs = u64::try_from(outcome.epochs_run).expect("small");
-        assert_eq!(report.metrics.counter(obs_keys::EPOCHS), Some(epochs));
-        assert_eq!(
-            report.metrics.counter(obs_keys::EARLY_STOP_PATIENCE),
-            Some(1),
-            "flipped validation labels force the patience stop"
-        );
-        assert_eq!(report.metrics.counter(obs_keys::EARLY_STOP_EXHAUSTED), None);
-        let (n, mean) = report
-            .metrics
-            .gauge_stats(obs_keys::TRAIN_LOSS)
-            .expect("gauge");
-        assert_eq!(n, epochs);
-        let hand_mean = outcome.train_loss.iter().sum::<f64>()
-            / convert::f64_from_usize(outcome.train_loss.len());
-        assert!((mean - hand_mean).abs() < 1e-12);
-        assert_eq!(
-            report.spans[obs_keys::TRAIN_SPAN],
-            mira_obs::SpanStats {
-                count: 1,
-                steps: epochs
-            }
-        );
-    }
-
-    #[test]
-    fn exhausted_budget_is_reported_as_such() {
-        use mira_obs::{Collector, ManualClock};
-
-        let (x, y) = xor_data();
-        let cfg = TrainConfig {
-            epochs: 20,
-            batch_size: 4,
-            ..TrainConfig::default()
-        };
-        let mut net = Mlp::new(&[2, 4, 1], Activation::Relu, Activation::Sigmoid, 3);
-        let mut sink = Collector::with_clock(ManualClock::new());
-        let outcome = net.train_with_validation_observed(&x, &y, &x, &y, &cfg, &mut sink);
-        assert_eq!(outcome.epochs_run, 20);
-        let report = sink.into_report();
-        assert_eq!(
-            report.metrics.counter(obs_keys::EARLY_STOP_EXHAUSTED),
-            Some(1)
-        );
-        assert_eq!(report.metrics.counter(obs_keys::EARLY_STOP_PATIENCE), None);
     }
 
     #[test]

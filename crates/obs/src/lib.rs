@@ -11,31 +11,36 @@
 //!   merging in chronological shard order reproduces a single
 //!   sequential fold — bit-for-bit identical snapshots for any worker
 //!   count, exactly like the aggregation stack in `mira-core`.
-//! - **Spans** ([`SpanStats`] via [`Collector`]): scoped regions keyed
-//!   to *sim-time* (step index). The deterministic half (entry counts,
-//!   sim-steps covered) lives in the byte-stable snapshot; wall-clock
-//!   durations are read through an injectable [`Clock`] and land in a
-//!   separate, explicitly nondeterministic [`Timings`] section that the
+//! - **Spans** ([`SpanStats`]): scoped regions keyed to *sim-time*
+//!   (step index). The deterministic half (entry counts, sim-steps
+//!   covered) lives in the byte-stable snapshot; wall-clock durations
+//!   are read through an injectable [`Clock`] and land in a separate,
+//!   explicitly nondeterministic [`Timings`] section that the
 //!   byte-stability gate never compares.
 //!
 //! The only wall-clock read in the crate is [`WallClock::nanos`];
 //! instrumented code elsewhere in the workspace never names a wall
 //! clock, which keeps it clean under `mira-lint`'s `nondeterminism`
-//! and `determinism-taint` rules.
-//!
-//! Instrumented hot paths take a generic [`Sink`]; the provided
-//! [`NoopSink`] compiles every hook down to nothing, so observability
-//! costs nothing when it is off.
+//! and `determinism-taint` rules. The sweep recorder in `mira-core`
+//! fills these types and serve's `metrics` reply renders them; the
+//! recorder checks [`ObsMode`] once per hook, so observability costs
+//! nothing when it is off.
 //!
 //! ```
-//! use mira_obs::{Collector, ManualClock, Sink};
+//! use mira_obs::{MetricsPartial, ObsReport, SpanStats};
 //!
-//! let mut obs = Collector::with_clock(ManualClock::new());
-//! obs.add("demo.events", 3);
-//! obs.gauge("demo.level", 0.5);
-//! obs.span_begin("demo.region", 0);
-//! obs.span_end("demo.region", 10);
-//! let report = obs.into_report();
+//! // Two shards fold their own partials; merging in shard order
+//! // reproduces one sequential fold.
+//! let mut first = MetricsPartial::new();
+//! first.add("demo.events", 2);
+//! let mut second = MetricsPartial::new();
+//! second.add("demo.events", 1);
+//! second.gauge("demo.level", 0.5);
+//! first.merge(&second);
+//!
+//! let mut report = ObsReport::new();
+//! report.metrics = first;
+//! report.record_span("demo.region", SpanStats { count: 1, steps: 10 });
 //! assert_eq!(report.metrics.counter("demo.events"), Some(3));
 //! assert!(report.deterministic_json().contains("demo.region"));
 //! ```
@@ -44,20 +49,15 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod collector;
 pub mod metrics;
 pub mod report;
-pub mod sink;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use collector::Collector;
 pub use metrics::{Histogram, MetricValue, MetricsPartial};
 pub use report::{ObsReport, SpanStats, Timings};
-pub use sink::{NoopSink, Sink};
 
-/// Whether instrumentation is live. Recorder-style integrations that
-/// cannot take a generic [`Sink`] parameter branch on this once per
-/// hook; the disabled arm does no work at all.
+/// Whether instrumentation is live. The sweep recorder branches on
+/// this once per hook; the disabled arm does no work at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
     /// Collect nothing (the zero-cost default).

@@ -320,19 +320,6 @@ impl DatasetBuilder {
         points
     }
 
-    /// [`DatasetBuilder::build`] plus the hard negatives — the training
-    /// diet for a deployable (console) model.
-    #[must_use]
-    pub fn build_hard<P: TelemetryProvider>(&self, provider: &P, lead: Duration) -> Dataset {
-        let mut data = self.build(provider, lead);
-        for (rack, end, positive) in self.hard_negative_points() {
-            if let Some(f) = self.window_features(provider, rack, end) {
-                data.push(f, f64::from(u8::from(positive)));
-            }
-        }
-        data
-    }
-
     /// The events providing this builder's positive windows (the full
     /// ground truth unless [`DatasetBuilder::split_events`] restricted
     /// it).

@@ -5,22 +5,9 @@ use serde::{Deserialize, Serialize};
 use mira_nn::{
     Activation, BinaryMetrics, Dataset, KFold, Loss, Mlp, Optimizer, Standardizer, TrainConfig,
 };
-use mira_obs::{NoopSink, Sink};
 use mira_timeseries::Duration;
-use mira_units::convert;
 
 use crate::dataset::{DatasetBuilder, TelemetryProvider};
-
-/// Metric keys emitted by the `*_observed` training entry points (the
-/// epoch-level `nn.*` keys come from [`mira_nn::network::obs_keys`]).
-pub mod obs_keys {
-    /// Rows in the pooled training dataset (before the 3 : 1 : 1 split).
-    pub const DATASET_ROWS: &str = "predictor.dataset_rows";
-    /// Feature-vector width.
-    pub const FEATURE_WIDTH: &str = "predictor.feature_width";
-    /// Hard-negative rows appended to the training diet.
-    pub const HARD_NEGATIVES: &str = "predictor.hard_negatives";
-}
 
 /// Predictor hyper-parameters (defaults are the paper's).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,32 +101,15 @@ impl CmfPredictor {
         builder: &DatasetBuilder,
         config: &PredictorConfig,
     ) -> (Self, BinaryMetrics) {
-        Self::train_observed(provider, builder, config, &mut NoopSink)
-    }
-
-    /// [`CmfPredictor::train`] with an instrumentation sink: dataset
-    /// shape lands under the `predictor.*` keys and the inner training
-    /// loop reports through [`mira_nn::network::obs_keys`].
-    pub fn train_observed<P: TelemetryProvider, S: Sink>(
-        provider: &P,
-        builder: &DatasetBuilder,
-        config: &PredictorConfig,
-        sink: &mut S,
-    ) -> (Self, BinaryMetrics) {
         let mut data = pooled_dataset(provider, builder, &config.train_leads);
         if config.hard_negatives {
-            let before = data.len();
             for (rack, end, positive) in builder.hard_negative_points() {
                 if let Some(f) = builder.window_features(provider, rack, end) {
                     data.push(f, f64::from(u8::from(positive)));
                 }
             }
-            sink.add(
-                obs_keys::HARD_NEGATIVES,
-                convert::u64_from_usize(data.len() - before),
-            );
         }
-        Self::train_on_observed(&data, config, sink)
+        Self::train_on(&data, config)
     }
 
     /// Trains on an already-built dataset (3 : 1 : 1 split inside).
@@ -148,25 +118,7 @@ impl CmfPredictor {
     ///
     /// Panics if the dataset is too small to split.
     pub fn train_on(data: &Dataset, config: &PredictorConfig) -> (Self, BinaryMetrics) {
-        Self::train_on_observed(data, config, &mut NoopSink)
-    }
-
-    /// [`CmfPredictor::train_on`] with an instrumentation sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is too small to split.
-    pub fn train_on_observed<S: Sink>(
-        data: &Dataset,
-        config: &PredictorConfig,
-        sink: &mut S,
-    ) -> (Self, BinaryMetrics) {
         assert!(data.len() >= 10, "dataset too small: {}", data.len());
-        sink.add(obs_keys::DATASET_ROWS, convert::u64_from_usize(data.len()));
-        sink.gauge(
-            obs_keys::FEATURE_WIDTH,
-            convert::f64_from_usize(data.width()),
-        );
         let shuffled = data.shuffled(config.seed ^ 0x5871_70CD);
         let parts = shuffled.split(&[3.0, 1.0, 1.0]);
         // split() returns one part per weight: exactly three here.
@@ -181,13 +133,12 @@ impl CmfPredictor {
         widths.extend_from_slice(&config.hidden);
         widths.push(1);
         let mut network = Mlp::new(&widths, Activation::Relu, Activation::Sigmoid, config.seed);
-        network.train_with_validation_observed(
+        network.train_with_validation(
             train_std.features(),
             train_std.labels(),
             val_std.features(),
             val_std.labels(),
             &config.train_config(),
-            sink,
         );
 
         let predictor = Self {
@@ -403,42 +354,6 @@ mod tests {
             "test accuracy {}",
             metrics.accuracy()
         );
-    }
-
-    #[test]
-    fn observed_training_reports_the_pipeline_shape() {
-        use mira_obs::{Collector, ManualClock};
-
-        let (provider, builder) = setup();
-        let config = quick_config();
-        let mut sink = Collector::with_clock(ManualClock::new());
-        let (observed, om) = CmfPredictor::train_observed(&provider, &builder, &config, &mut sink);
-        let (plain, pm) = CmfPredictor::train(&provider, &builder, &config);
-        assert_eq!(observed, plain, "instrumentation must not change training");
-        assert_eq!(om, pm);
-
-        let report = sink.into_report();
-        let rows = report
-            .metrics
-            .counter(obs_keys::DATASET_ROWS)
-            .expect("rows counted");
-        assert!(rows >= 10);
-        let (_, width) = report
-            .metrics
-            .gauge_stats(obs_keys::FEATURE_WIDTH)
-            .expect("width gauged");
-        assert!(width > 0.0);
-        // The inner loop reports its epochs: no patience configured, so
-        // the budget is exhausted.
-        use mira_nn::network::obs_keys as nn_keys;
-        let epochs = u64::try_from(config.epochs).expect("small");
-        assert_eq!(report.metrics.counter(nn_keys::EPOCHS), Some(epochs));
-        assert_eq!(
-            report.metrics.counter(nn_keys::EARLY_STOP_EXHAUSTED),
-            Some(1)
-        );
-        // Hard negatives are off in the default config.
-        assert_eq!(report.metrics.counter(obs_keys::HARD_NEGATIVES), None);
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl AftermathModel {
         }
     }
 
-    /// The hazard decay constant in 1/h.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.lambda_per_hour
-    }
-
     /// Instantaneous hazard multiplier `e^{-λτ}` at `τ` after the CMF.
     #[must_use]
     pub fn hazard(&self, since_cmf: Duration) -> f64 {

@@ -214,13 +214,6 @@ impl CmfSchedule {
         counts
     }
 
-    /// Incidents whose epicenter or cascade includes `rack`.
-    pub fn incidents_affecting(&self, rack: RackId) -> impl Iterator<Item = &ScheduledIncident> {
-        self.incidents
-            .iter()
-            .filter(move |i| i.affected.contains(&rack))
-    }
-
     /// The next incident at or after `t`, if any.
     #[must_use]
     pub fn next_incident_at_or_after(&self, t: SimTime) -> Option<&ScheduledIncident> {

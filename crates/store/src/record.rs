@@ -203,15 +203,6 @@ impl TelemetryRecord {
         }
     }
 
-    /// The milli-unit value of one channel (`None` for the time/rack
-    /// key columns, which are not milli-scaled).
-    #[must_use]
-    pub fn value_milli(&self, channel: Channel) -> Option<i64> {
-        channel
-            .value_index()
-            .and_then(|i| self.milli.get(i).copied())
-    }
-
     /// Appends this row's CSV line (no trailing newline) to `buf`:
     /// `time,(r, X),v,v,v,v,v,v`, each value in its `{:.3}` text.
     /// Nothing is allocated beyond `buf`'s own growth, so a caller

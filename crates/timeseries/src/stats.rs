@@ -110,16 +110,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (÷ n−1; 0 with fewer than two observations).
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / convert::f64_from_u64(self.count - 1)
-        }
-    }
-
     /// Population standard deviation.
     #[must_use]
     pub fn stddev(&self) -> f64 {

@@ -17,32 +17,10 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use mira_facility::{Queue, RackId};
-use mira_obs::{NoopSink, Sink};
 use mira_timeseries::{Duration, SimTime};
 use mira_units::convert;
 
 use crate::job::Job;
-
-/// Metric keys emitted by the `*_observed` scheduler entry points.
-pub mod obs_keys {
-    /// Jobs enqueued.
-    pub const SUBMITTED: &str = "workload.submitted";
-    /// Jobs started in FCFS order.
-    pub const STARTED_FCFS: &str = "workload.started_fcfs";
-    /// Jobs started by EASY backfill (hole-filling hits).
-    pub const STARTED_BACKFILL: &str = "workload.started_backfill";
-    /// Jobs completed.
-    pub const COMPLETED: &str = "workload.completed";
-    /// Jobs killed by rack drains.
-    pub const DRAIN_KILLS: &str = "workload.drain_kills";
-    /// Queue depth after each step.
-    pub const QUEUE_DEPTH: &str = "workload.queue_depth";
-    /// Queue-wait distribution of started jobs (hours).
-    pub const WAIT_HOURS_DIST: &str = "workload.wait_hours.dist";
-}
-
-/// Queue-wait histogram bounds (hours).
-const WAIT_HOURS_BOUNDS: &[f64] = &[1.0, 4.0, 12.0, 24.0, 72.0];
 
 /// Midplanes per rack.
 const MIDPLANES_PER_RACK: u32 = 2;
@@ -139,12 +117,6 @@ impl BackfillScheduler {
 
     /// Enqueues a job.
     pub fn submit(&mut self, job: Job) {
-        self.submit_observed(job, &mut NoopSink);
-    }
-
-    /// [`BackfillScheduler::submit`] with an instrumentation sink.
-    pub fn submit_observed<S: Sink>(&mut self, job: Job, sink: &mut S) {
-        sink.add(obs_keys::SUBMITTED, 1);
         self.queue.push_back(job);
     }
 
@@ -168,17 +140,7 @@ impl BackfillScheduler {
 
     /// Marks a rack drained (its midplanes become unallocatable and any
     /// job touching it is killed). Returns the number of jobs killed.
-    pub fn drain_rack(&mut self, rack: RackId, now: SimTime) -> usize {
-        self.drain_rack_observed(rack, now, &mut NoopSink)
-    }
-
-    /// [`BackfillScheduler::drain_rack`] with an instrumentation sink.
-    pub fn drain_rack_observed<S: Sink>(
-        &mut self,
-        rack: RackId,
-        now: SimTime,
-        sink: &mut S,
-    ) -> usize {
+    pub fn drain_rack(&mut self, rack: RackId) -> usize {
         self.drained[rack.index()] = true;
         let (killed, keep): (Vec<RunningJob>, Vec<RunningJob>) = self
             .running
@@ -190,8 +152,6 @@ impl BackfillScheduler {
             }
         }
         self.running = keep;
-        let _ = now;
-        sink.add(obs_keys::DRAIN_KILLS, convert::u64_from_usize(killed.len()));
         killed.len()
     }
 
@@ -241,7 +201,7 @@ impl BackfillScheduler {
 
     // Allocation slots come from free_slots, built against the same
     // busy table. mira-lint: allow(panic-reachability)
-    fn start<S: Sink>(&mut self, job: Job, now: SimTime, backfilled: bool, sink: &mut S) {
+    fn start(&mut self, job: Job, now: SimTime, backfilled: bool) {
         let slots = self.free_slots(job.queue);
         debug_assert!(slots.len() >= convert::usize_from_u32(job.midplanes));
         let allocation: Vec<(RackId, u8)> = slots
@@ -261,28 +221,17 @@ impl BackfillScheduler {
         });
         if backfilled {
             self.stats.started_backfill += 1;
-            sink.add(obs_keys::STARTED_BACKFILL, 1);
         } else {
             self.stats.started_fcfs += 1;
-            sink.add(obs_keys::STARTED_FCFS, 1);
         }
         self.stats.total_wait_seconds += waited;
-        let waited_hours = convert::f64_from_u64(u64::try_from(waited).unwrap_or(0)) / 3600.0;
-        sink.observe(obs_keys::WAIT_HOURS_DIST, WAIT_HOURS_BOUNDS, waited_hours);
     }
 
     /// Advances the scheduler to `now`: completes finished jobs, starts
     /// FCFS-eligible jobs, then backfills.
-    pub fn step(&mut self, now: SimTime) {
-        self.step_observed(now, &mut NoopSink);
-    }
-
-    /// [`BackfillScheduler::step`] with an instrumentation sink. With a
-    /// [`NoopSink`] every hook is an empty inlined body, so the plain
-    /// wrapper compiles to the uninstrumented loop.
     // Midplane slots come from free_slots/allocations, which are built
     // against the same busy table. mira-lint: allow(panic-reachability)
-    pub fn step_observed<S: Sink>(&mut self, now: SimTime, sink: &mut S) {
+    pub fn step(&mut self, now: SimTime) {
         // Complete.
         let (done, keep): (Vec<RunningJob>, Vec<RunningJob>) =
             self.running.drain(..).partition(|r| r.ends <= now);
@@ -292,9 +241,6 @@ impl BackfillScheduler {
             }
         }
         self.stats.completed += done.len() as u64;
-        if !done.is_empty() {
-            sink.add(obs_keys::COMPLETED, convert::u64_from_usize(done.len()));
-        }
         self.running = keep;
 
         // FCFS: start from the head while it fits.
@@ -305,7 +251,7 @@ impl BackfillScheduler {
             let Some(job) = self.queue.pop_front() else {
                 break;
             };
-            self.start(job, now, false, sink);
+            self.start(job, now, false);
         }
 
         // EASY backfill behind a blocked head.
@@ -325,16 +271,12 @@ impl BackfillScheduler {
                     let Some(job) = self.queue.remove(i) else {
                         break;
                     };
-                    self.start(job, now, true, sink);
+                    self.start(job, now, true);
                 } else {
                     i += 1;
                 }
             }
         }
-        sink.gauge(
-            obs_keys::QUEUE_DEPTH,
-            convert::f64_from_usize(self.queue.len()),
-        );
     }
 
     /// Earliest time the queue head could start, given running jobs'
@@ -453,7 +395,7 @@ mod tests {
         s.step(t0());
         assert_eq!(s.running().len(), 1);
         let victim = s.running()[0].allocation[0].0;
-        let killed = s.drain_rack(victim, t0() + Duration::from_hours(1));
+        let killed = s.drain_rack(victim);
         assert_eq!(killed, 1);
         assert_eq!(s.running().len(), 0);
         // The drained rack cannot be re-allocated.
@@ -492,61 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_step_mirrors_stats_and_plain_path() {
-        use mira_obs::{Collector, ManualClock};
-
-        let mut plain = BackfillScheduler::new();
-        let mut observed = BackfillScheduler::new();
-        let mut sink = Collector::with_clock(ManualClock::new());
-        let mut generator = JobGenerator::new(9);
-        let mut t = t0();
-        for _ in 0..48 {
-            for j in generator.submissions(t, Duration::from_hours(1)) {
-                plain.submit(j.clone());
-                observed.submit_observed(j, &mut sink);
-            }
-            plain.step(t);
-            observed.step_observed(t, &mut sink);
-            t += Duration::from_hours(1);
-        }
-        assert_eq!(plain, observed, "instrumentation must not change behaviour");
-
-        let m = sink.metrics();
-        let stats = observed.stats();
-        assert_eq!(m.counter(obs_keys::STARTED_FCFS), Some(stats.started_fcfs));
-        assert_eq!(
-            m.counter(obs_keys::STARTED_BACKFILL).unwrap_or(0),
-            stats.started_backfill
-        );
-        assert_eq!(m.counter(obs_keys::COMPLETED).unwrap_or(0), stats.completed);
-        assert!(m.counter(obs_keys::SUBMITTED).unwrap_or(0) >= stats.started());
-        // One wait observation per started job.
-        let wait = m.histogram(obs_keys::WAIT_HOURS_DIST).expect("histogram");
-        assert_eq!(wait.count(), stats.started());
-        // One queue-depth sample per step.
-        let (depth_samples, _) = m.gauge_stats(obs_keys::QUEUE_DEPTH).expect("gauge");
-        assert_eq!(depth_samples, 48);
-    }
-
-    #[test]
-    fn observed_drain_counts_kills() {
-        use mira_obs::{Collector, ManualClock};
-
-        let mut s = BackfillScheduler::new();
-        let mut sink = Collector::with_clock(ManualClock::new());
-        s.submit(job(1, Queue::ProdShort, 64, 10, t0()));
-        s.step(t0());
-        let victim = s.running()[0].allocation[0].0;
-        let killed = s.drain_rack_observed(victim, t0(), &mut sink);
-        assert_eq!(killed, 1);
-        assert_eq!(
-            sink.metrics().counter(obs_keys::DRAIN_KILLS),
-            Some(1),
-            "drain kills land in the sink"
-        );
-    }
-
-    #[test]
     fn sustained_load_reaches_high_utilization() {
         let mut s = BackfillScheduler::new();
         let mut generator = JobGenerator::new(77);
@@ -562,6 +449,14 @@ mod tests {
             s.utilization() > 0.6,
             "two weeks of arrivals should saturate: {}",
             s.utilization()
+        );
+        // With no drains, every started job has either completed or is
+        // still running, and each start is counted once.
+        let stats = s.stats();
+        assert!(stats.started_backfill > 0, "{stats:?}");
+        assert_eq!(
+            stats.started(),
+            stats.completed + convert::u64_from_usize(s.running().len())
         );
     }
 }

@@ -23,7 +23,7 @@ fn core_types_are_send_and_sync() {
     assert_send_sync::<mira_workload::WorkloadModel>();
     assert_send_sync::<mira_workload::BackfillScheduler>();
     assert_send_sync::<mira_core::ObsReport>();
-    assert_send_sync::<mira_obs::Collector>();
+    assert_send_sync::<mira_obs::MetricsPartial>();
 }
 
 #[test]

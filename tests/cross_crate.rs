@@ -35,7 +35,7 @@ fn scheduler_rides_through_a_cmf_storm() {
 
     let mut killed = 0;
     for &rack in &incident.affected {
-        killed += scheduler.drain_rack(rack, incident.time);
+        killed += scheduler.drain_rack(rack);
     }
     assert!(killed > 0, "the storm kills running jobs");
     assert!(scheduler.utilization() < util_before);
