@@ -133,12 +133,6 @@ impl Allowlist {
         self.budgets.is_empty()
     }
 
-    /// Total grandfathered findings across all entries.
-    #[must_use]
-    pub fn total_budget(&self) -> usize {
-        self.budgets.values().sum()
-    }
-
     /// Render findings grouped into a fresh allowlist document,
     /// used by `mira-lint --write-allowlist` to (re)grandfather the
     /// current state.

@@ -295,14 +295,13 @@ fn resolve_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze;
     use crate::parser::parse_file;
     use std::path::{Path, PathBuf};
 
     fn build(sources: &[(&str, &str)]) -> (SymbolIndex, CallGraph) {
         let files = sources
             .iter()
-            .map(|(rel, src)| parse_file(Path::new(rel), src, &analyze(src), &["Celsius"]))
+            .map(|(rel, src)| parse_file(Path::new(rel), src, &["Celsius"]))
             .collect();
         let manifests = vec![
             (

@@ -37,7 +37,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::parser::{DetHazard, FnItem, Tok, Token};
+use crate::lexer::{Tok, Token};
+use crate::parser::{DetHazard, FnItem};
 
 /// Coarse type classification for a local binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1186,19 +1187,13 @@ pub fn concurrency_facts(toks: &[Token], item: &mut FnItem) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze as lex_analyze;
     use crate::parser::parse_file;
     use std::path::Path;
 
     const UNITS: [&str; 2] = ["Celsius", "Watts"];
 
     fn first_fn(src: &str) -> FnItem {
-        let file = parse_file(
-            Path::new("crates/x/src/lib.rs"),
-            src,
-            &lex_analyze(src),
-            &UNITS,
-        );
+        let file = parse_file(Path::new("crates/x/src/lib.rs"), src, &UNITS);
         file.fns.into_iter().next().expect("one fn parsed")
     }
 

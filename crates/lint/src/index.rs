@@ -357,11 +357,10 @@ fn propagate_test_files(files: &[ParsedFile]) -> BTreeSet<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze;
     use crate::parser::parse_file;
 
     fn parsed(rel: &str, src: &str) -> ParsedFile {
-        parse_file(Path::new(rel), src, &analyze(src), &["Celsius"])
+        parse_file(Path::new(rel), src, &["Celsius"])
     }
 
     #[test]

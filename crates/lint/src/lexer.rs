@@ -1,30 +1,16 @@
-//! A small hand-rolled Rust source scanner.
+//! The lexer: the first two stages of the `mira-lint` pipeline.
 //!
 //! `mira-lint` must run with zero registry dependencies, so instead of
-//! `syn` it works from a line-oriented view of each file produced here:
-//! comment bodies and string/char literal contents are blanked out
-//! (so pattern matches never fire inside prose), while the raw text is
-//! kept alongside for escape-hatch comments. A second pass tracks brace
-//! depth to mark `#[cfg(test)]` regions, which most rules exempt.
+//! `syn` it works from its own token stream. [`scrub`] blanks comment
+//! bodies and string/char literal contents (so no rule ever fires on
+//! prose), keeping every byte offset and newline in place; [`tokenize`]
+//! splits the scrubbed text into [`Token`]s that carry their line and
+//! column. [`crate::parser`] recovers items from those tokens.
 //!
-//! This is deliberately *not* a full parser: it only needs to be exact
-//! about what can confuse substring matching — comments, strings
+//! This is deliberately *not* a full Rust lexer: it only needs to be
+//! exact about what can confuse the rules — comments, strings
 //! (including raw strings), char literals vs. lifetimes — and about
-//! brace nesting for test-module tracking.
-
-/// One analyzed source line.
-#[derive(Debug, Clone)]
-pub struct SourceLine {
-    /// 1-based line number.
-    pub number: usize,
-    /// The original text, comments included.
-    pub raw: String,
-    /// The text with comment bodies and literal contents blanked to
-    /// spaces; rule patterns match against this.
-    pub code: String,
-    /// True when the line sits inside a `#[cfg(test)]` region.
-    pub in_test_context: bool,
-}
+//! positions, which findings report.
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -38,9 +24,6 @@ enum State {
 
 /// Blank out comments and literal bodies, preserving length and
 /// newlines so byte offsets and line numbers survive.
-///
-/// Exposed so [`crate::parser`] can tokenize the same comment-free
-/// view the line rules match against.
 #[must_use]
 pub fn scrub(source: &str) -> String {
     let bytes = source.as_bytes();
@@ -209,173 +192,221 @@ fn prev_is_ident(out: &[u8]) -> bool {
         .is_some_and(|&c| c == b'_' || c.is_ascii_alphanumeric())
 }
 
-/// Mark, per byte-line, whether it falls inside a `#[cfg(test)]`
-/// brace region of the scrubbed source.
-fn test_region_lines(code: &str) -> Vec<bool> {
-    let line_count = code.lines().count();
-    let mut in_test = vec![false; line_count.max(1)];
+/// One lexical token of the scrubbed source.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Tok {
+    /// Identifier or keyword.
+    Ident(String),
+    /// Numeric literal; text kept so `.0` tuple access is visible.
+    Num(String),
+    /// String or char literal (contents already blanked).
+    Lit,
+    /// Lifetime such as `'a`.
+    Life,
+    /// One punctuation byte.
+    P(u8),
+}
 
+/// A token plus where it sits in the source.
+#[derive(Debug, Clone)]
+pub struct Token {
+    /// The token itself.
+    pub tok: Tok,
+    /// 1-based source line.
+    pub line: usize,
+    /// 1-based byte column of the token's first byte.
+    pub col: usize,
+}
+
+/// Tokenize scrubbed source (from [`scrub`]).
+#[must_use]
+pub fn tokenize(code: &str) -> Vec<Token> {
     let bytes = code.as_bytes();
-    let mut depth: i64 = 0;
-    let mut line = 0usize;
-    let mut pending_attr = false;
-    let mut region_depths: Vec<i64> = Vec::new();
-    let needle = b"#[cfg(test)]";
-
+    let mut toks = Vec::new();
+    let mut line = 1usize;
+    let mut line_start = 0usize;
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
         if b == b'\n' {
             line += 1;
             i += 1;
+            line_start = i;
             continue;
         }
-        if bytes[i..].starts_with(needle) {
-            pending_attr = true;
-            i += needle.len();
+        if b.is_ascii_whitespace() {
+            i += 1;
             continue;
         }
-        match b {
-            b'{' => {
-                depth += 1;
-                if pending_attr {
-                    region_depths.push(depth);
-                    pending_attr = false;
+        let col = i - line_start + 1;
+        if b == b'_' || b.is_ascii_alphabetic() || b >= 0x80 {
+            let start = i;
+            while i < bytes.len()
+                && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric() || bytes[i] >= 0x80)
+            {
+                i += 1;
+            }
+            let text = String::from_utf8_lossy(&bytes[start..i]).into_owned();
+            toks.push(Token {
+                tok: Tok::Ident(text),
+                line,
+                col,
+            });
+            continue;
+        }
+        if b.is_ascii_digit() {
+            let start = i;
+            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
+                i += 1;
+            }
+            // `1.5` / `1.0e3`: a dot followed by a digit continues the
+            // literal; `0..n` does not.
+            if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
+                i += 1;
+                while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
+                    i += 1;
                 }
             }
-            b'}' => {
-                if region_depths.last() == Some(&depth) {
-                    region_depths.pop();
+            let text = String::from_utf8_lossy(&bytes[start..i]).into_owned();
+            toks.push(Token {
+                tok: Tok::Num(text),
+                line,
+                col,
+            });
+            continue;
+        }
+        if b == b'"' {
+            // Scrubbed string: contents are blank, so the next quote
+            // closes it.
+            i += 1;
+            while i < bytes.len() && bytes[i] != b'"' {
+                if bytes[i] == b'\n' {
+                    line += 1;
+                    line_start = i + 1;
                 }
-                depth -= 1;
+                i += 1;
             }
-            b';' => {
-                // `#[cfg(test)] mod tests;` or an attribute on a
-                // braceless item: the attribute never gets a block.
-                pending_attr = false;
+            i += 1;
+            toks.push(Token {
+                tok: Tok::Lit,
+                line,
+                col,
+            });
+            continue;
+        }
+        if b == b'\'' {
+            // Lifetimes (`'a`) survive scrubbing and char-literal bodies
+            // (`' '`) are blanked, so an alphabetic right after the quote
+            // means lifetime.
+            if i + 1 < bytes.len() && (bytes[i + 1] == b'_' || bytes[i + 1].is_ascii_alphabetic()) {
+                i += 1;
+                while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
+                    i += 1;
+                }
+                toks.push(Token {
+                    tok: Tok::Life,
+                    line,
+                    col,
+                });
+            } else {
+                i += 1;
+                while i < bytes.len() && bytes[i] != b'\'' && bytes[i] != b'\n' {
+                    i += 1;
+                }
+                if i < bytes.len() && bytes[i] == b'\'' {
+                    i += 1;
+                }
+                toks.push(Token {
+                    tok: Tok::Lit,
+                    line,
+                    col,
+                });
             }
-            _ => {}
+            continue;
         }
-        if !region_depths.is_empty() && line < in_test.len() {
-            in_test[line] = true;
-        }
+        toks.push(Token {
+            tok: Tok::P(b),
+            line,
+            col,
+        });
         i += 1;
     }
-
-    // A line is "in test context" if any region covered it, including
-    // the attribute/brace lines themselves.
-    in_test
-}
-
-/// Analyze a file into per-line records.
-#[must_use]
-pub fn analyze(source: &str) -> Vec<SourceLine> {
-    let code = scrub(source);
-    let test_lines = test_region_lines(&code);
-
-    source
-        .lines()
-        .zip(code.lines())
-        .enumerate()
-        .map(|(idx, (raw, code_line))| SourceLine {
-            number: idx + 1,
-            raw: raw.to_owned(),
-            code: code_line.to_owned(),
-            in_test_context: test_lines.get(idx).copied().unwrap_or(false),
-        })
-        .collect()
-}
-
-/// True when `code[idx..idx + len]` is delimited by non-identifier
-/// characters on both sides (a whole-token match).
-#[must_use]
-pub fn token_bounded(code: &str, idx: usize, len: usize) -> bool {
-    let bytes = code.as_bytes();
-    let before_ok = idx == 0 || {
-        let c = bytes[idx - 1];
-        !(c == b'_' || c.is_ascii_alphanumeric())
-    };
-    let after_ok = idx + len >= bytes.len() || {
-        let c = bytes[idx + len];
-        !(c == b'_' || c.is_ascii_alphanumeric())
-    };
-    before_ok && after_ok
-}
-
-/// All whole-token occurrences of `needle` in `code`.
-pub fn token_matches<'h>(code: &'h str, needle: &str) -> impl Iterator<Item = usize> + 'h {
-    let needle_len = needle.len();
-    let mut positions = Vec::new();
-    let mut start = 0;
-    while let Some(found) = code[start..].find(needle) {
-        let idx = start + found;
-        if token_bounded(code, idx, needle_len) {
-            positions.push(idx);
-        }
-        start = idx + needle_len.max(1);
-    }
-    positions.into_iter()
+    toks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn idents(src: &str) -> Vec<String> {
+        tokenize(&scrub(src))
+            .into_iter()
+            .filter_map(|t| match t.tok {
+                Tok::Ident(s) => Some(s),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn comments_and_strings_are_blanked() {
         let src = "let x = \"unwrap()\"; // .unwrap() here\nlet y = 1;\n";
-        let lines = analyze(src);
-        assert!(!lines[0].code.contains("unwrap"));
-        assert!(lines[0].raw.contains(".unwrap() here"));
-        assert_eq!(lines[1].code, "let y = 1;");
+        let code = scrub(src);
+        let lines: Vec<&str> = code.lines().collect();
+        assert!(!lines[0].contains("unwrap"));
+        assert_eq!(lines[0].len(), src.lines().next().map_or(0, str::len));
+        assert_eq!(lines[1], "let y = 1;");
     }
 
     #[test]
     fn raw_strings_are_blanked() {
         let src = "let p = r#\"panic!(\"boom\")\"#;\nlet q = 2;";
-        let lines = analyze(src);
-        assert!(!lines[0].code.contains("panic"));
+        assert!(!scrub(src).contains("panic"));
     }
 
     #[test]
     fn lifetimes_survive_char_literals_do_not() {
         let src = "fn f<'a>(x: &'a str) -> char { 'x' }";
-        let lines = analyze(src);
-        assert!(lines[0].code.contains("<'a>"));
-        assert!(!lines[0].code.contains("'x'"));
-    }
-
-    #[test]
-    fn cfg_test_region_is_tracked() {
-        let src = "\
-fn real() {}
-
-#[cfg(test)]
-mod tests {
-    fn helper() {}
-}
-
-fn also_real() {}
-";
-        let lines = analyze(src);
-        assert!(!lines[0].in_test_context);
-        assert!(lines[3].in_test_context, "mod tests line");
-        assert!(lines[4].in_test_context, "helper line");
-        assert!(!lines[7].in_test_context, "code after region");
+        let code = scrub(src);
+        assert!(code.contains("<'a>"));
+        assert!(!code.contains("'x'"));
+        let lifetimes = tokenize(&code)
+            .iter()
+            .filter(|t| t.tok == Tok::Life)
+            .count();
+        assert_eq!(lifetimes, 2);
     }
 
     #[test]
     fn nested_block_comments() {
         let src = "/* a /* b */ still comment */ fn f() {}";
-        let lines = analyze(src);
-        assert!(lines[0].code.contains("fn f()"));
-        assert!(!lines[0].code.contains("still"));
+        let code = scrub(src);
+        assert!(code.contains("fn f()"));
+        assert!(!code.contains("still"));
     }
 
     #[test]
     fn token_bounded_rejects_substrings() {
-        let code = "let unwrapped = expect_err();";
-        assert!(token_matches(code, "unwrap").next().is_none());
-        assert!(token_matches(code, "expect").next().is_none());
+        let names = idents("let unwrapped = expect_err();");
+        assert!(!names.iter().any(|n| n == "unwrap" || n == "expect"));
+        assert!(names.contains(&"unwrapped".to_owned()));
+    }
+
+    #[test]
+    fn tokens_carry_line_and_byte_column() {
+        let toks = tokenize(&scrub("let s = \"a\nb\"; x\n  y::z"));
+        let at = |name: &str| {
+            toks.iter()
+                .find(|t| t.tok == Tok::Ident(name.to_owned()))
+                .map(|t| (t.line, t.col))
+        };
+        assert_eq!(at("let"), Some((1, 1)));
+        assert_eq!(
+            at("x"),
+            Some((2, 5)),
+            "column restarts after a multi-line literal"
+        );
+        assert_eq!(at("y"), Some((3, 3)));
+        assert_eq!(at("z"), Some((3, 6)));
     }
 }

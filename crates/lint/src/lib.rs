@@ -23,14 +23,14 @@
 //! | `atomic-ordering` | orderings name the protocol, no blanket `SeqCst` |
 //! | `unjoined-thread` | every `thread::spawn` handle is joined |
 //!
-//! The first two are *line* rules; the rest are *semantic* rules
-//! that run over a workspace [`index::SymbolIndex`] and
-//! [`callgraph::CallGraph`] built by [`parser`] (several also over the
-//! per-body facts from [`dataflow`]; the five lock/atomic/thread rules
-//! live in [`concurrency`]). Files are scanned in
-//! parallel (`MIRA_LINT_THREADS`, same shard-claim discipline as
-//! `mira-core::sweep`) and findings merge in deterministic file order,
-//! so output is byte-identical at any worker count.
+//! One sequential pipeline runs them all: [`lexer::scrub`] →
+//! [`lexer::tokenize`] → [`parser::parse_file`] → [`index::SymbolIndex`]
+//! → [`rules::check`]. The first two rules are *syntax* rules that read
+//! one parsed file at a time; the rest are *semantic* rules that also
+//! walk the [`callgraph::CallGraph`] (several over the per-body facts
+//! from [`dataflow`]; the five lock/atomic/thread rules live in
+//! [`concurrency`]). Findings are sorted by a total key, so output is
+//! byte-stable from run to run.
 //!
 //! What rustc or clippy already enforce is left to them: `unwrap()` /
 //! `expect(..)` / `panic!`, lossy `as` casts, float `==`, and calls to
@@ -56,38 +56,11 @@ pub mod rules;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 
 pub use allowlist::{gate, Allowlist, Gated};
 pub use callgraph::CallGraph;
 pub use index::SymbolIndex;
-pub use rules::{check_file, semantic_findings, Finding, Rule};
-
-/// Environment variable pinning the scan worker count.
-pub const THREADS_ENV: &str = "MIRA_LINT_THREADS";
-
-/// Worker count: `MIRA_LINT_THREADS` if set to a positive integer,
-/// otherwise available parallelism capped at 8. The cap keeps the
-/// file-claim loop from drowning in spawn overhead on big hosts; the
-/// merge is deterministic at any value.
-#[must_use]
-pub fn effective_threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get().min(8)))
-}
-
-/// Scan one source string as though it lived at `path` (which decides
-/// crate-specific rules). Line rules only — semantic rules need the
-/// whole workspace; see [`Workspace::scan`].
-#[must_use]
-pub fn scan_source(path: &Path, source: &str) -> Vec<Finding> {
-    check_file(path, &lexer::analyze(source))
-}
+pub use rules::{Finding, Rule};
 
 /// All `.rs` files under `crates/*/src`, workspace-relative, sorted.
 ///
@@ -191,44 +164,19 @@ impl Workspace {
         Workspace { sources, manifests }
     }
 
-    /// Run every rule with `threads` workers. The per-file pass
-    /// (lexing, line rules, parsing) is sharded exactly like
-    /// `mira-core::sweep` — workers claim file indices from an atomic
-    /// counter — and results merge in file order, so findings are
-    /// byte-identical at any worker count. The semantic pass is
-    /// single-threaded over the merged index (it is a small fraction of
-    /// the work).
+    /// Run every rule: parse each file, build the index and call
+    /// graph, run the thirteen rules, and sort by the total key (file,
+    /// line, column, rule, message).
     #[must_use]
-    pub fn scan(&self, threads: usize) -> Vec<Finding> {
-        self.assemble(scan_files_sharded(&self.sources, threads.max(1)))
-    }
-
-    /// The post-shard pipeline: merge per-file passes in file order,
-    /// build the index and call graph, run the semantic rules, and sort
-    /// by the total key (file, line, column, rule, message).
-    fn assemble(&self, per_file: Vec<FilePass>) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        let mut parsed = Vec::with_capacity(per_file.len());
-        for (mut file_findings, parsed_file) in per_file {
-            findings.append(&mut file_findings);
-            parsed.push(parsed_file);
-        }
-
-        let index = SymbolIndex::build(parsed, &self.manifests);
-
-        // The per-file pass cannot see `#[cfg(test)] mod x;` pointing
-        // at a sibling file; the index can. Drop line findings from
-        // files it proved test-only so both layers agree on scope.
-        let test_paths: std::collections::BTreeSet<&Path> = index
-            .test_files
+    pub fn scan(&self) -> Vec<Finding> {
+        let parsed = self
+            .sources
             .iter()
-            .map(|&i| index.files[i].rel.as_path())
+            .map(|(rel, text)| parser::parse_file(rel, text, &rules::UNIT_TYPES))
             .collect();
-        findings.retain(|f| !test_paths.contains(f.file.as_path()));
-
+        let index = SymbolIndex::build(parsed, &self.manifests);
         let graph = CallGraph::build(&index);
-        findings.extend(semantic_findings(&index, &graph));
-
+        let mut findings = rules::check(&index, &graph);
         findings.sort_by(|a, b| {
             (&a.file, a.line, a.column, a.rule, &a.matched)
                 .cmp(&(&b.file, b.line, b.column, b.rule, &b.matched))
@@ -237,63 +185,12 @@ impl Workspace {
     }
 }
 
-type FilePass = (Vec<Finding>, parser::ParsedFile);
-
-/// One file's pass: lex, line rules, parse.
-fn scan_file(rel: &Path, text: &str) -> FilePass {
-    let lines = lexer::analyze(text);
-    let findings = check_file(rel, &lines);
-    let parsed = parser::parse_file(rel, text, &lines, &rules::UNIT_TYPES);
-    (findings, parsed)
-}
-
-/// The deterministic shard scan: `workers` threads claim file indices
-/// from a shared counter; each result lands in its file's slot; the
-/// merge reads slots in file order.
-fn scan_files_sharded(sources: &[(PathBuf, String)], threads: usize) -> Vec<FilePass> {
-    let workers = threads.min(sources.len()).max(1);
-    let slots: Vec<Mutex<Option<FilePass>>> = sources.iter().map(|_| Mutex::new(None)).collect();
-
-    if workers > 1 {
-        let cursor = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some((rel, text)) = sources.get(i) else {
-                        break;
-                    };
-                    let pass = scan_file(rel, text);
-                    if let Ok(mut slot) = slots[i].lock() {
-                        *slot = Some(pass);
-                    }
-                });
-            }
-        });
-    }
-
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let inner = match slot.into_inner() {
-                Ok(v) => v,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // Single-threaded mode, or a slot a worker failed to fill:
-            // compute inline so the scan never silently drops a file.
-            inner.unwrap_or_else(|| scan_file(&sources[i].0, &sources[i].1))
-        })
-        .collect()
-}
-
-/// Scan the whole workspace rooted at `root` with [`effective_threads`]
-/// workers.
+/// Scan the whole workspace rooted at `root`.
 ///
 /// # Errors
 /// Returns the first unreadable file or directory.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(Workspace::load(root)?.scan(effective_threads()))
+    Ok(Workspace::load(root)?.scan())
 }
 
 /// Locate the workspace root: walk upward from `start` until a
@@ -311,8 +208,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Render gated results as JSON with a fixed key order and sorted
-/// findings, so output is byte-stable across runs and worker counts
-/// (asserted by the golden-file test).
+/// findings, so output is byte-stable across runs (asserted by the
+/// golden-file test).
 #[must_use]
 pub fn render_json(gated: &Gated, allowlist_entries: usize) -> String {
     let mut out = String::from("{\n  \"rejected\": [");
@@ -378,15 +275,31 @@ pub(crate) fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
+    fn workspace(files: &[(&str, &str)]) -> Workspace {
+        Workspace::from_files(
+            files
+                .iter()
+                .map(|(rel, text)| (PathBuf::from(rel), (*text).to_owned()))
+                .collect(),
+        )
+    }
+
     #[test]
     fn scan_source_applies_path_sensitive_rules() {
         let src = "pub fn t(&self) -> f64 { self.at(Instant::now()) }\n";
-        let cooling = scan_source(Path::new("crates/cooling/src/x.rs"), src);
-        assert_eq!(cooling.len(), 2, "{cooling:?}"); // raw-f64 + nondeterminism
-        let core = scan_source(Path::new("crates/core/src/x.rs"), src);
-        assert_eq!(core.len(), 1, "{core:?}"); // nondeterminism only
-        let nn = scan_source(Path::new("crates/nn/src/x.rs"), src);
-        assert!(nn.is_empty(), "{nn:?}");
+        let rules_at = |path: &str| -> Vec<Rule> {
+            workspace(&[(path, src)])
+                .scan()
+                .iter()
+                .map(|f| f.rule)
+                .collect()
+        };
+        assert_eq!(
+            rules_at("crates/cooling/src/x.rs"),
+            vec![Rule::RawF64InPublicApi, Rule::Nondeterminism]
+        );
+        assert_eq!(rules_at("crates/core/src/x.rs"), vec![Rule::Nondeterminism]);
+        assert!(rules_at("crates/nn/src/x.rs").is_empty());
     }
 
     #[test]
@@ -396,45 +309,32 @@ mod tests {
         assert!(root.join("crates").is_dir());
     }
 
-    fn fixture_workspace() -> Workspace {
-        Workspace::from_files(vec![
+    #[test]
+    fn scan_is_sorted_by_file_line_column_rule() {
+        let found = workspace(&[
             (
-                PathBuf::from("crates/core/Cargo.toml"),
-                "[package]\nname = \"mira-core\"\n[dependencies]\nmira-cooling.workspace = true\n"
-                    .to_owned(),
+                "crates/core/Cargo.toml",
+                "[package]\nname = \"mira-core\"\n[dependencies]\nmira-cooling.workspace = true\n",
+            ),
+            ("crates/cooling/Cargo.toml", "[package]\nname = \"mira-cooling\"\n"),
+            (
+                "crates/core/src/lib.rs",
+                "pub fn stamp() -> u64 {\n    let _ = std::time::Instant::now();\n    0\n}\n",
             ),
             (
-                PathBuf::from("crates/cooling/Cargo.toml"),
-                "[package]\nname = \"mira-cooling\"\n".to_owned(),
-            ),
-            (
-                PathBuf::from("crates/core/src/lib.rs"),
-                "pub fn stamp() -> u64 {\n    let _ = std::time::Instant::now();\n    0\n}\n"
-                    .to_owned(),
-            ),
-            (
-                PathBuf::from("crates/cooling/src/lib.rs"),
-                "pub fn scale(n: u64) -> f64 {\n    mira_units::convert::f64_from_u64(n)\n}\n"
-                    .to_owned(),
+                "crates/cooling/src/lib.rs",
+                "pub fn scale(n: u64) -> f64 {\n    let _ = SystemTime::now();\n    mira_units::convert::f64_from_u64(n)\n}\n",
             ),
         ])
-    }
-
-    #[test]
-    fn workspace_scan_is_thread_count_invariant() {
-        let ws = fixture_workspace();
-        let one = ws.scan(1);
-        let four = ws.scan(4);
-        assert_eq!(one, four);
-        assert!(!one.is_empty());
-        // Sorted by (file, line, column, rule).
-        let keys: Vec<_> = one
+        .scan();
+        let keys: Vec<_> = found
             .iter()
             .map(|f| (f.file.clone(), f.line, f.column, f.rule))
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 3, "{found:?}");
     }
 
     #[test]

@@ -2,19 +2,17 @@
 //!
 //! ```text
 //! mira-lint [--root <dir>] [--allowlist <file>] [--write-allowlist]
-//!           [--format text|json] [--threads <n>] [--explain <rule>]
-//!           [--quiet]
+//!           [--format text|json] [--explain <rule>] [--quiet]
 //! ```
 //!
-//! Walks `crates/*/src/**/*.rs`, runs every rule (line rules in
-//! parallel shards, semantic rules over the merged symbol index),
-//! filters through the allowlist, prints one `file:line: [rule]
-//! message; suggestion: ...` per unallowed finding, and exits 1 when
-//! any remain (2 on usage or I/O errors). `--write-allowlist` instead
-//! regenerates `lint-allow.toml` from the current findings,
-//! grandfathering the status quo so the budget can only ratchet down
-//! from there. `--format json` emits the machine-readable document
-//! (byte-stable across `--threads` values); `--explain <rule>` prints
+//! Walks `crates/*/src/**/*.rs`, parses every file, runs every rule
+//! over the workspace symbol index, filters through the allowlist,
+//! prints one `file:line: [rule] message; suggestion: ...` per
+//! unallowed finding, and exits 1 when any remain (2 on usage or I/O
+//! errors). `--write-allowlist` instead regenerates `lint-allow.toml`
+//! from the current findings, grandfathering the status quo so the
+//! budget can only ratchet down from there. `--format json` emits the
+//! machine-readable, byte-stable document; `--explain <rule>` prints
 //! the long-form rationale for one rule.
 
 use std::io::Write;
@@ -29,7 +27,6 @@ struct Options {
     write_allowlist: bool,
     quiet: bool,
     json: bool,
-    threads: Option<usize>,
     explain: Option<String>,
 }
 
@@ -40,7 +37,6 @@ fn parse_args() -> Result<Options, String> {
         write_allowlist: false,
         quiet: false,
         json: false,
-        threads: None,
         explain: None,
     };
     let mut args = std::env::args().skip(1);
@@ -65,16 +61,6 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown format `{other}`")),
                 };
             }
-            "--threads" => {
-                let n = args.next().ok_or("--threads needs a positive integer")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("--threads needs a positive integer, got `{n}`"))?;
-                if n == 0 {
-                    return Err("--threads needs a positive integer".to_owned());
-                }
-                options.threads = Some(n);
-            }
             "--explain" => {
                 options.explain = Some(args.next().ok_or("--explain needs a rule name")?);
             }
@@ -83,8 +69,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "mira-lint: domain-invariant static analysis for the mira workspace\n\n\
                      USAGE: mira-lint [--root <dir>] [--allowlist <file>] [--write-allowlist]\n\
-                     \x20                [--format text|json] [--threads <n>] [--explain <rule>]\n\
-                     \x20                [--quiet]\n\n\
+                     \x20                [--format text|json] [--explain <rule>] [--quiet]\n\n\
                      RULES: {}",
                     Rule::ALL.map(Rule::name).join(", ")
                 );
@@ -124,8 +109,7 @@ fn run() -> Result<ExitCode, String> {
 
     let workspace =
         Workspace::load(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let threads = options.threads.unwrap_or_else(mira_lint::effective_threads);
-    let findings = workspace.scan(threads);
+    let findings = workspace.scan();
 
     let allowlist_path = options
         .allowlist

@@ -1,10 +1,10 @@
 //! A recursive-descent *item* parser over the scrubbed token stream.
 //!
-//! [`crate::lexer`] gives a comment- and literal-free view of each
-//! file; this module tokenizes that view and recovers the item
-//! structure the semantic rules need: `use` maps, `mod` declarations,
-//! and `fn` items with their signatures and per-body facts (call
-//! sites, panic sites, determinism hazards, raw-unit escapes).
+//! [`crate::lexer`] turns each file into a comment- and literal-free
+//! token stream; this module recovers the item structure the rules
+//! need: `use` maps, `mod` declarations, the token spans of test-only
+//! items, and `fn` items with their signatures and per-body facts
+//! (call sites, panic sites, determinism hazards, raw-unit escapes).
 //!
 //! It is deliberately *not* a full Rust parser. It understands exactly
 //! enough item syntax to be right about the workspace's rustfmt-shaped
@@ -14,140 +14,11 @@
 //! `mira-lint --explain <rule>`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::dataflow::{AllocSite, BlockingSite, GuardSpan, OrderingSite, PuritySite, SpawnSite};
-use crate::lexer::{scrub, SourceLine};
-
-/// One lexical token of the scrubbed source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
-    /// Identifier or keyword.
-    Ident(String),
-    /// Numeric literal; text kept so `.0` tuple access is visible.
-    Num(String),
-    /// String or char literal (contents already blanked).
-    Lit,
-    /// Lifetime such as `'a`.
-    Life,
-    /// One punctuation byte.
-    P(u8),
-}
-
-/// A token plus the 1-based line it starts on.
-#[derive(Debug, Clone)]
-pub struct Token {
-    /// The token itself.
-    pub tok: Tok,
-    /// 1-based source line.
-    pub line: usize,
-}
-
-/// Tokenize scrubbed source (from [`scrub`]).
-#[must_use]
-pub fn tokenize(code: &str) -> Vec<Token> {
-    let bytes = code.as_bytes();
-    let mut toks = Vec::new();
-    let mut line = 1usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'\n' {
-            line += 1;
-            i += 1;
-            continue;
-        }
-        if b.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        if b == b'_' || b.is_ascii_alphabetic() || b >= 0x80 {
-            let start = i;
-            while i < bytes.len()
-                && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric() || bytes[i] >= 0x80)
-            {
-                i += 1;
-            }
-            let text = String::from_utf8_lossy(&bytes[start..i]).into_owned();
-            toks.push(Token {
-                tok: Tok::Ident(text),
-                line,
-            });
-            continue;
-        }
-        if b.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-            // `1.5` / `1.0e3`: a dot followed by a digit continues the
-            // literal; `0..n` does not.
-            if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
-                i += 1;
-                while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                    i += 1;
-                }
-            }
-            let text = String::from_utf8_lossy(&bytes[start..i]).into_owned();
-            toks.push(Token {
-                tok: Tok::Num(text),
-                line,
-            });
-            continue;
-        }
-        if b == b'"' {
-            // Scrubbed string: contents are blank, so the next quote
-            // closes it.
-            i += 1;
-            while i < bytes.len() && bytes[i] != b'"' {
-                if bytes[i] == b'\n' {
-                    line += 1;
-                }
-                i += 1;
-            }
-            i += 1;
-            toks.push(Token {
-                tok: Tok::Lit,
-                line,
-            });
-            continue;
-        }
-        if b == b'\'' {
-            // The lexer kept lifetimes (`'a`) and blanked char-literal
-            // bodies (`' '`), so an alphabetic right after the quote
-            // means lifetime.
-            if i + 1 < bytes.len() && (bytes[i + 1] == b'_' || bytes[i + 1].is_ascii_alphabetic()) {
-                i += 1;
-                while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                    i += 1;
-                }
-                toks.push(Token {
-                    tok: Tok::Life,
-                    line,
-                });
-            } else {
-                i += 1;
-                while i < bytes.len() && bytes[i] != b'\'' && bytes[i] != b'\n' {
-                    i += 1;
-                }
-                if i < bytes.len() && bytes[i] == b'\'' {
-                    i += 1;
-                }
-                toks.push(Token {
-                    tok: Tok::Lit,
-                    line,
-                });
-            }
-            continue;
-        }
-        toks.push(Token {
-            tok: Tok::P(b),
-            line,
-        });
-        i += 1;
-    }
-    toks
-}
+use crate::lexer::{scrub, tokenize, Tok, Token};
 
 /// Item visibility, as far as the rules care.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,14 +97,20 @@ pub struct FnItem {
     pub module: Vec<String>,
     /// Visibility.
     pub vis: Vis,
+    /// 1-based column of the `pub` token; 0 unless `vis` is `Pub`.
+    pub pub_col: usize,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Whether `f64` appears anywhere in the signature: generics,
+    /// parameters, return type, or `where` clause.
+    pub sig_f64: bool,
     /// Parameter names (when a simple ident pattern) and the
     /// identifiers appearing in each parameter's type.
     pub params: Vec<(Option<String>, Vec<String>)>,
     /// Identifiers appearing in the return type.
     pub ret: Vec<String>,
-    /// `#[test]`, `#[cfg(test)]`, or inside a `#[cfg(test)]` region.
+    /// `#[test]`, `#[cfg(test)]`, or nested (through any `mod`, `impl`,
+    /// or `trait`) inside a `#[cfg(test)]` item.
     pub is_test: bool,
     /// Call expressions in the body.
     pub calls: Vec<CallSite>,
@@ -283,6 +160,20 @@ pub struct ParsedFile {
     pub test_mods: Vec<String>,
     /// `// mira-lint: allow(..)` hatches by 1-based line.
     pub allows: BTreeMap<usize, Vec<String>>,
+    /// The file's token stream.
+    pub toks: Vec<Token>,
+    /// Token ranges of the outermost test-only items (`#[test]`,
+    /// `#[cfg(test)]`), in file order; everything nested in one is
+    /// test-only too.
+    pub test_spans: Vec<Range<usize>>,
+}
+
+impl ParsedFile {
+    /// Is the token at `pos` inside a test-only item?
+    #[must_use]
+    pub fn in_test_span(&self, pos: usize) -> bool {
+        self.test_spans.iter().any(|span| span.contains(&pos))
+    }
 }
 
 /// Keywords that must not be mistaken for call targets.
@@ -300,7 +191,6 @@ fn is_keyword(name: &str) -> bool {
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
-    lines: &'a [SourceLine],
     unit_types: &'a [&'a str],
     out: ParsedFile,
 }
@@ -312,29 +202,22 @@ struct Attrs {
     is_test: bool,
 }
 
-/// Parse one file. `lines` must come from [`crate::lexer::analyze`] on
-/// the same source; `unit_types` are the newtype names whose raw
-/// escape the `unit-flow` rule tracks.
+/// Parse one file: scrub, tokenize, and recover its items.
+/// `unit_types` are the newtype names whose raw escape the `unit-flow`
+/// rule tracks.
 #[must_use]
-pub fn parse_file(
-    rel: &Path,
-    source: &str,
-    lines: &[SourceLine],
-    unit_types: &[&str],
-) -> ParsedFile {
-    let code = scrub(source);
-    let toks = tokenize(&code);
+pub fn parse_file(rel: &Path, source: &str, unit_types: &[&str]) -> ParsedFile {
+    let toks = tokenize(&scrub(source));
     let mut allows = BTreeMap::new();
-    for line in lines {
-        let hatches = crate::rules::allows_on(&line.raw);
+    for (idx, raw) in source.lines().enumerate() {
+        let hatches = crate::rules::allows_on(raw);
         if !hatches.is_empty() {
-            allows.insert(line.number, hatches);
+            allows.insert(idx + 1, hatches);
         }
     }
     let mut parser = Parser {
         toks: &toks,
         pos: 0,
-        lines,
         unit_types,
         out: ParsedFile {
             rel: rel.to_path_buf(),
@@ -343,10 +226,14 @@ pub fn parse_file(
             child_mods: Vec::new(),
             test_mods: Vec::new(),
             allows,
+            toks: Vec::new(),
+            test_spans: Vec::new(),
         },
     };
-    parser.items(&mut Vec::new(), None, usize::MAX);
-    parser.out
+    parser.items(&mut Vec::new(), None, usize::MAX, false);
+    let mut out = parser.out;
+    out.toks = toks;
+    out
 }
 
 impl Parser<'_> {
@@ -438,24 +325,39 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
+            // `cfg(not(test))` (or any `not` beside `test`) guards live
+            // code: only a `cfg` without negation scopes an item to tests.
             match idents.first().copied() {
                 Some("test") => pending.is_test = true,
-                Some("cfg") if idents.contains(&"test") => pending.cfg_test = true,
+                Some("cfg") if idents.contains(&"test") && !idents.contains(&"not") => {
+                    pending.cfg_test = true;
+                }
                 _ => {}
             }
         }
     }
 
-    /// Parse items until `end` (token position) or EOF.
-    fn items(&mut self, module: &mut Vec<String>, self_type: Option<&str>, end: usize) {
+    /// Parse items until `end` (token position) or EOF. `in_test` is
+    /// set inside a test-only item, and every item beneath inherits it.
+    fn items(
+        &mut self,
+        module: &mut Vec<String>,
+        self_type: Option<&str>,
+        end: usize,
+        in_test: bool,
+    ) {
         let mut vis = Vis::Private;
+        let mut pub_col = 0;
         let mut attrs = Attrs::default();
+        let mut start = self.pos;
         while self.pos < end.min(self.toks.len()) {
             self.attrs(&mut attrs);
+            let test = in_test || attrs.cfg_test || attrs.is_test;
             let Some(tok) = self.peek(0) else { break };
             match tok {
                 Tok::Ident(word) => match word.as_str() {
                     "pub" => {
+                        pub_col = self.toks[self.pos].col;
                         self.pos += 1;
                         if self.is_punct(0, b'(') {
                             vis = Vis::Scoped;
@@ -499,7 +401,7 @@ impl Parser<'_> {
                             let close = self.matching_brace(self.pos);
                             self.pos += 1;
                             module.push(name);
-                            self.items(module, None, close);
+                            self.items(module, None, close, test);
                             module.pop();
                             self.pos = close.saturating_add(1).min(self.toks.len());
                         }
@@ -511,7 +413,7 @@ impl Parser<'_> {
                         if self.is_punct(0, b'{') {
                             let close = self.matching_brace(self.pos);
                             self.pos += 1;
-                            self.items(module, ty.as_deref(), close);
+                            self.items(module, ty.as_deref(), close, test);
                             self.pos = close.saturating_add(1).min(self.toks.len());
                         }
                     }
@@ -533,14 +435,15 @@ impl Parser<'_> {
                         if self.is_punct(0, b'{') {
                             let close = self.matching_brace(self.pos);
                             self.pos += 1;
-                            self.items(module, name.as_deref(), close);
+                            self.items(module, name.as_deref(), close, test);
                             self.pos = close.saturating_add(1).min(self.toks.len());
                         } else {
                             self.pos += 1;
                         }
                     }
                     "fn" => {
-                        self.parse_fn(vis, attrs, module, self_type);
+                        let pub_col = if vis == Vis::Pub { pub_col } else { 0 };
+                        self.parse_fn(vis, pub_col, test, module, self_type);
                     }
                     "struct" | "enum" | "union" | "static" | "type" | "macro_rules" => {
                         self.skip_to_semi_or_block();
@@ -552,8 +455,12 @@ impl Parser<'_> {
                 }
                 _ => self.pos += 1,
             }
+            if test && !in_test {
+                self.out.test_spans.push(start..self.pos);
+            }
             vis = Vis::Private;
             attrs = Attrs::default();
+            start = self.pos;
         }
     }
 
@@ -712,9 +619,16 @@ impl Parser<'_> {
         prefix.truncate(depth_on_entry);
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn parse_fn(&mut self, vis: Vis, attrs: Attrs, module: &[String], self_type: Option<&str>) {
+    fn parse_fn(
+        &mut self,
+        vis: Vis,
+        pub_col: usize,
+        is_test: bool,
+        module: &[String],
+        self_type: Option<&str>,
+    ) {
         let fn_line = self.line_at(self.pos);
+        let fn_pos = self.pos;
         self.pos += 1; // `fn`
         let Some(name) = self.ident_at(0).map(str::to_owned) else {
             return;
@@ -752,20 +666,21 @@ impl Parser<'_> {
             self.pos += 1;
         }
 
-        let in_test_region = self
-            .lines
-            .get(fn_line.saturating_sub(1))
-            .is_some_and(|l| l.in_test_context);
+        let sig_f64 = self.toks[fn_pos..self.pos.min(self.toks.len())]
+            .iter()
+            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "f64"));
 
         let mut item = FnItem {
             name,
             self_type: self_type.map(str::to_owned),
             module: module.to_vec(),
             vis,
+            pub_col,
             line: fn_line,
+            sig_f64,
             params,
             ret,
-            is_test: attrs.is_test || attrs.cfg_test || in_test_region,
+            is_test,
             calls: Vec::new(),
             panics: Vec::new(),
             hazards: Vec::new(),
@@ -1162,12 +1077,11 @@ fn record_index_site(toks: &[Token], open: usize, close: usize, item: &mut FnIte
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze;
 
     const UNITS: [&str; 3] = ["Celsius", "Watts", "Gpm"];
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file(Path::new("crates/x/src/lib.rs"), src, &analyze(src), &UNITS)
+        parse_file(Path::new("crates/x/src/lib.rs"), src, &UNITS)
     }
 
     #[test]
@@ -1274,12 +1188,57 @@ mod tests {
     #[test]
     fn cfg_test_fns_are_marked() {
         let file = parse(
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}\nfn real() {}\n",
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}\nfn real() {}\n\
+             #[cfg(not(test))]\nfn shipped() {}\n",
         );
         let t = file.fns.iter().find(|f| f.name == "t").expect("parsed t");
         assert!(t.is_test);
         let real = file.fns.iter().find(|f| f.name == "real").expect("real");
         assert!(!real.is_test);
+        let shipped = file
+            .fns
+            .iter()
+            .find(|f| f.name == "shipped")
+            .expect("shipped");
+        assert!(!shipped.is_test, "cfg(not(test)) is live code");
+        assert_eq!(file.test_spans.len(), 1);
+    }
+
+    #[test]
+    fn cfg_test_region_is_tracked() {
+        let src = "\
+fn real() {}
+
+#[cfg(test)]
+mod tests {
+    mod inner {
+        fn helper() {}
+    }
+    impl Probe {
+        fn probe(&self) {}
+    }
+}
+
+fn also_real() {}
+";
+        let file = parse(src);
+        let is_test = |name: &str| {
+            file.fns
+                .iter()
+                .find(|f| f.name == name)
+                .is_some_and(|f| f.is_test)
+        };
+        assert!(!is_test("real"));
+        assert!(is_test("helper"), "nested mod inherits cfg(test)");
+        assert!(is_test("probe"), "nested impl inherits cfg(test)");
+        assert!(!is_test("also_real"), "code after the module");
+        // One span: from the attribute through the module's `}`.
+        let span_lines: Vec<_> = file
+            .test_spans
+            .iter()
+            .map(|span| (file.toks[span.start].line, file.toks[span.end - 1].line))
+            .collect();
+        assert_eq!(span_lines, vec![(3, 11)]);
     }
 
     #[test]

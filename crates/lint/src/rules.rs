@@ -1,26 +1,30 @@
 //! The thirteen domain-invariant rules.
 //!
-//! Two *line* rules scan the line-oriented view produced by
-//! [`crate::lexer`]; eleven *semantic* rules run over the workspace
-//! [`SymbolIndex`] and [`CallGraph`] (three of them additionally over
-//! the per-body facts from [`crate::dataflow`], and the five
-//! concurrency rules in [`crate::concurrency`] over the guard/atomic/
-//! spawn facts) and can see across files and crates. Checks that rustc
-//! or clippy already enforce (unwrap/expect/panic, lossy casts, float
-//! `==`, deprecated calls) are left to them; see DESIGN.md §7. Every
-//! rule emits [`Finding`]s with a stable
-//! machine-readable identity (file, line, column, rule name) plus a
-//! human suggestion. Rules only fire in library code: `#[cfg(test)]`
-//! regions and test-only files are exempt, and the workspace walker
-//! never feeds `tests/`, `benches/`, or `examples/` files in.
+//! All of them run over the workspace [`SymbolIndex`] that
+//! [`crate::parser`] feeds. Two *syntax* rules read one file at a time:
+//! `raw-f64-in-public-api` reads the parsed `pub fn` signatures and
+//! `nondeterminism` matches paths in the token stream. Eleven
+//! *semantic* rules also walk the [`CallGraph`] (three of them over the
+//! per-body facts from [`crate::dataflow`], and the five concurrency
+//! rules in [`crate::concurrency`] over the guard/atomic/spawn facts)
+//! and can see across files and crates. Checks that rustc or clippy
+//! already enforce (unwrap/expect/panic, lossy casts, float `==`,
+//! deprecated calls) are left to them; see DESIGN.md §7. Every rule
+//! emits [`Finding`]s with a stable machine-readable identity (file,
+//! line, column, rule name) plus a human suggestion. Rules only fire in
+//! library code: test-only items (`#[test]`, `#[cfg(test)]` and
+//! everything nested in them) and test-only files are exempt, every
+//! rule honours the inline allow hatch, and the workspace walker never
+//! feeds `tests/`, `benches/`, or `examples/` files in.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::{resolve_call, CallGraph};
 use crate::dataflow::{AllocSite, PuritySite};
 use crate::index::{FnId, SymbolIndex};
-use crate::lexer::{token_matches, SourceLine};
+use crate::lexer::{Tok, Token};
 use crate::parser::{DetHazard, PanicSite, ParsedFile, Vis};
 
 /// The crates whose public APIs must speak `mira-units` newtypes.
@@ -230,7 +234,7 @@ impl Rule {
     pub fn explain(self) -> &'static str {
         match self {
             Rule::RawF64InPublicApi => {
-                "raw-f64-in-public-api (line rule)\n\n\
+                "raw-f64-in-public-api (syntax rule)\n\n\
                  Public `fn` signatures in the physics crates (cooling, weather,\n\
                  facility, workload) must not expose bare `f64`. The paper's analyses\n\
                  mix Fahrenheit/Celsius, kW/MW, and gpm; a bare float at a crate\n\
@@ -238,7 +242,7 @@ impl Rule {
                  newtypes (Celsius, Watts, Gpm, ...) instead."
             }
             Rule::Nondeterminism => {
-                "nondeterminism (line rule)\n\n\
+                "nondeterminism (syntax rule)\n\n\
                  Simulation crates (core, cooling, weather, workload, ras) must not\n\
                  read wall clocks or unseeded RNGs. Every figure in the paper\n\
                  reproduction must replay bit-for-bit from a seed; `Instant::now`,\n\
@@ -422,15 +426,15 @@ pub struct Finding {
     pub file: PathBuf,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column of the match for line rules; 0 for semantic
-    /// rules, which anchor on a whole `fn` item or a fact site.
+    /// 1-based column of the match for the two syntax rules; 0 for
+    /// semantic rules, which anchor on a whole `fn` item or a fact site.
     pub column: usize,
     /// Which rule fired.
     pub rule: Rule,
     /// What the rule matched, for the message.
     pub matched: String,
     /// For reachability rules: the call chain from the reported fn to
-    /// the offending site, as display names. Empty for line rules.
+    /// the offending site, as display names. Empty for syntax rules.
     pub chain: Vec<String>,
 }
 
@@ -448,17 +452,6 @@ impl fmt::Display for Finding {
             self.rule.suggestion()
         )
     }
-}
-
-/// Which crate (directory under `crates/`) a path belongs to, if any.
-fn crate_of(path: &Path) -> Option<String> {
-    let mut components = path.components().map(|c| c.as_os_str().to_string_lossy());
-    while let Some(c) = components.next() {
-        if c == "crates" {
-            return components.next().map(std::borrow::Cow::into_owned);
-        }
-    }
-    None
 }
 
 /// Escape hatches present on a line: `// mira-lint: allow(rule, rule)`.
@@ -484,62 +477,57 @@ pub(crate) fn allows_on(raw: &str) -> Vec<String> {
         .collect()
 }
 
-/// True when `finding` on `lines[idx]` is waved through by an escape
-/// hatch on the same line or the line directly above.
-fn escaped(lines: &[SourceLine], idx: usize, rule: Rule) -> bool {
-    let hit = |raw: &str| allows_on(raw).iter().any(|name| name == rule.name());
-    if hit(&lines[idx].raw) {
-        return true;
-    }
-    idx > 0 && hit(&lines[idx - 1].raw)
+/// True when an inline `// mira-lint: allow(<rule>)` hatch covers
+/// `line` (same line or the one above) in `file`.
+pub(crate) fn sem_allowed(file: &ParsedFile, line: usize, rule: Rule) -> bool {
+    let hit = |l: &usize| {
+        file.allows
+            .get(l)
+            .is_some_and(|names| names.iter().any(|n| n == rule.name()))
+    };
+    hit(&line) || (line > 1 && hit(&(line - 1)))
 }
 
-/// Run every applicable rule over one analyzed file.
+/// Run all thirteen rules over the whole workspace.
 #[must_use]
-pub fn check_file(path: &Path, lines: &[SourceLine]) -> Vec<Finding> {
-    let crate_name = crate_of(path);
-    let physics = crate_name
-        .as_deref()
-        .is_some_and(|c| PHYSICS_CRATES.contains(&c));
-    let deterministic = crate_name
-        .as_deref()
-        .is_some_and(|c| DETERMINISTIC_CRATES.contains(&c));
-
+pub fn check(index: &SymbolIndex, graph: &CallGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if deterministic {
-        for (idx, line) in lines.iter().enumerate() {
-            if !line.in_test_context {
-                check_nondeterminism(path, lines, idx, &mut findings);
-            }
-        }
-    }
-    if physics {
-        check_public_f64(path, lines, &mut findings);
-    }
-    findings.sort_by_key(|f| (f.line, f.column, f.rule));
+    check_raw_f64_in_public_api(index, &mut findings);
+    check_nondeterministic_calls(index, &mut findings);
+    check_panic_reachability(index, graph, &mut findings);
+    check_unit_flow(index, &mut findings);
+    check_determinism_taint(index, graph, &mut findings);
+    check_alloc_in_hot_path(index, graph, &mut findings);
+    check_cache_purity(index, graph, &mut findings);
+    check_shared_state_escape(index, graph, &mut findings);
+    crate::concurrency::check(index, graph, &mut findings);
     findings
 }
 
-fn push(
-    findings: &mut Vec<Finding>,
-    lines: &[SourceLine],
-    idx: usize,
-    pos: usize,
-    path: &Path,
-    rule: Rule,
-    matched: impl Into<String>,
-) {
-    if escaped(lines, idx, rule) {
-        return;
+/// `pub fn` signatures in physics crates must not expose bare `f64`.
+fn check_raw_f64_in_public_api(index: &SymbolIndex, findings: &mut Vec<Finding>) {
+    for id in index.fn_ids() {
+        let item = index.fn_at(id);
+        if item.vis != Vis::Pub
+            || !item.sig_f64
+            || !PHYSICS_CRATES.contains(&index.crate_of(id))
+            || index.is_test_fn(id)
+        {
+            continue;
+        }
+        let file = &index.files[index.file_of(id)];
+        if sem_allowed(file, item.line, Rule::RawF64InPublicApi) {
+            continue;
+        }
+        findings.push(Finding {
+            file: file.rel.clone(),
+            line: item.line,
+            column: item.pub_col,
+            rule: Rule::RawF64InPublicApi,
+            matched: "bare `f64` in public physics-crate signature".to_owned(),
+            chain: Vec::new(),
+        });
     }
-    findings.push(Finding {
-        file: path.to_path_buf(),
-        line: lines[idx].number,
-        column: pos + 1,
-        rule,
-        matched: matched.into(),
-        chain: Vec::new(),
-    });
 }
 
 /// Calls that smuggle wall-clock time or OS entropy into simulation
@@ -553,132 +541,58 @@ const NONDETERMINISM_PATTERNS: [(&str, &str); 6] = [
     ("rand::rng", "unseeded global RNG in simulation code"),
 ];
 
-fn check_nondeterminism(
-    path: &Path,
-    lines: &[SourceLine],
-    idx: usize,
-    findings: &mut Vec<Finding>,
-) {
-    let code = &lines[idx].code;
-    for (pattern, message) in NONDETERMINISM_PATTERNS {
-        let mut search = 0;
-        while let Some(found) = code[search..].find(pattern) {
-            let pos = search + found;
-            search = pos + pattern.len();
-            // Token-bound the trailing edge so `rand::rng` does not
-            // also fire on `rand::rngs::StdRng` paths.
-            let bounded = !code[pos + pattern.len()..]
-                .chars()
-                .next()
-                .is_some_and(|c| c == '_' || c == ':' || c.is_ascii_alphanumeric());
-            if bounded {
-                push(
-                    findings,
-                    lines,
-                    idx,
-                    pos,
-                    path,
-                    Rule::Nondeterminism,
-                    message,
-                );
-                break;
+/// Does the `::` path `pattern` start at `toks[pos]`? Its last segment
+/// must end the path, so `rand::rng` does not also fire on
+/// `rand::rngs::StdRng` or `rand::rng::other`.
+fn path_at(toks: &[Token], pos: usize, pattern: &str) -> bool {
+    let tok = |i: usize| toks.get(i).map(|t| &t.tok);
+    let mut i = pos;
+    for (n, segment) in pattern.split("::").enumerate() {
+        if n > 0 {
+            if tok(i) != Some(&Tok::P(b':')) || tok(i + 1) != Some(&Tok::P(b':')) {
+                return false;
             }
+            i += 2;
         }
+        if !matches!(tok(i), Some(Tok::Ident(s)) if s == segment) {
+            return false;
+        }
+        i += 1;
     }
+    tok(i) != Some(&Tok::P(b':'))
 }
 
-/// `pub fn` signatures in physics crates must not expose bare `f64`.
-fn check_public_f64(path: &Path, lines: &[SourceLine], findings: &mut Vec<Finding>) {
-    let mut idx = 0;
-    while idx < lines.len() {
-        let line = &lines[idx];
-        if line.in_test_context {
-            idx += 1;
+/// No wall clocks or unseeded RNGs anywhere in a simulation crate's
+/// non-test code, fn bodies and item initializers alike. One finding
+/// per pattern per line, at its first match.
+fn check_nondeterministic_calls(index: &SymbolIndex, findings: &mut Vec<Finding>) {
+    for (file_idx, file) in index.files.iter().enumerate() {
+        if index.test_files.contains(&file_idx)
+            || !DETERMINISTIC_CRATES.contains(&index.file_crate[file_idx].as_str())
+        {
             continue;
         }
-        let code = &line.code;
-        let Some(pub_pos) = token_matches(code, "pub").next() else {
-            idx += 1;
-            continue;
-        };
-        let after_pub = code[pub_pos + 3..].trim_start();
-        // `pub(crate)` / `pub(super)` / `pub(in ..)` are not public API.
-        if after_pub.starts_with('(') {
-            idx += 1;
-            continue;
-        }
-        // Allow qualifiers between `pub` and `fn`.
-        let mut sig_head = after_pub;
-        for qualifier in ["const ", "async ", "unsafe ", "extern \"C\" "] {
-            sig_head = sig_head.trim_start_matches(qualifier);
-        }
-        if !(sig_head.starts_with("fn ") || sig_head == "fn") {
-            idx += 1;
-            continue;
-        }
-
-        // Collect the signature: from `fn` to the body `{` or a `;`.
-        let mut signature = String::new();
-        let mut end = idx;
-        'collect: for (offset, sig_line) in lines[idx..].iter().enumerate().take(16) {
-            let text = if offset == 0 {
-                &sig_line.code[pub_pos..]
-            } else {
-                sig_line.code.as_str()
-            };
-            for (ci, c) in text.char_indices() {
-                if c == '{' || c == ';' {
-                    signature.push_str(&text[..ci]);
-                    end = idx + offset;
-                    break 'collect;
+        let mut seen = BTreeSet::new();
+        for (pos, tok) in file.toks.iter().enumerate() {
+            for (pattern, message) in NONDETERMINISM_PATTERNS {
+                if !path_at(&file.toks, pos, pattern)
+                    || file.in_test_span(pos)
+                    || !seen.insert((tok.line, pattern))
+                    || sem_allowed(file, tok.line, Rule::Nondeterminism)
+                {
+                    continue;
                 }
+                findings.push(Finding {
+                    file: file.rel.clone(),
+                    line: tok.line,
+                    column: tok.col,
+                    rule: Rule::Nondeterminism,
+                    matched: message.to_owned(),
+                    chain: Vec::new(),
+                });
             }
-            signature.push_str(text);
-            signature.push(' ');
-            end = idx + offset;
         }
-
-        if token_matches(&signature, "f64").next().is_some() {
-            push(
-                findings,
-                lines,
-                idx,
-                pub_pos,
-                path,
-                Rule::RawF64InPublicApi,
-                "bare `f64` in public physics-crate signature",
-            );
-        }
-        idx = end + 1;
     }
-}
-
-// ---------------------------------------------------------------------
-// Semantic rules: run over the symbol index and call graph.
-
-/// True when an inline `// mira-lint: allow(<rule>)` hatch covers
-/// `line` (same line or the one above) in `file`.
-pub(crate) fn sem_allowed(file: &ParsedFile, line: usize, rule: Rule) -> bool {
-    let hit = |l: &usize| {
-        file.allows
-            .get(l)
-            .is_some_and(|names| names.iter().any(|n| n == rule.name()))
-    };
-    hit(&line) || (line > 1 && hit(&(line - 1)))
-}
-
-/// Run the eleven semantic rules over the whole workspace.
-#[must_use]
-pub fn semantic_findings(index: &SymbolIndex, graph: &CallGraph) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    check_panic_reachability(index, graph, &mut findings);
-    check_unit_flow(index, &mut findings);
-    check_determinism_taint(index, graph, &mut findings);
-    check_alloc_in_hot_path(index, graph, &mut findings);
-    check_cache_purity(index, graph, &mut findings);
-    check_shared_state_escape(index, graph, &mut findings);
-    crate::concurrency::check(index, graph, &mut findings);
-    findings
 }
 
 /// The first undischarged panic site of a non-test fn, if any.
@@ -1043,11 +957,26 @@ fn check_shared_state_escape(index: &SymbolIndex, graph: &CallGraph, findings: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze;
+    use crate::Workspace;
     use std::path::Path;
 
+    /// Run the whole pipeline over `sources` as one workspace.
+    fn scan(sources: &[(&str, &str)]) -> Vec<Finding> {
+        Workspace::from_files(
+            sources
+                .iter()
+                .map(|(rel, src)| (PathBuf::from(rel), (*src).to_owned()))
+                .collect(),
+        )
+        .scan()
+    }
+
+    /// The two syntax rules' findings for one file at `fake_path`.
     fn findings_in(fake_path: &str, src: &str) -> Vec<Finding> {
-        check_file(Path::new(fake_path), &analyze(src))
+        scan(&[(fake_path, src)])
+            .into_iter()
+            .filter(|f| matches!(f.rule, Rule::RawF64InPublicApi | Rule::Nondeterminism))
+            .collect()
     }
 
     const LIB: &str = "crates/cooling/src/fixture.rs";
@@ -1061,6 +990,45 @@ mod tests {
 }
 ";
         assert!(findings_in(LIB, src).is_empty());
+    }
+
+    #[test]
+    fn nested_mod_inside_cfg_test_module_is_exempt() {
+        let src = "\
+#[cfg(test)]
+mod tests {
+    mod inner {
+        pub fn helper(x: f64) -> f64 {
+            let _ = std::time::Instant::now();
+            x
+        }
+    }
+}
+";
+        assert!(findings_in(LIB, src).is_empty());
+    }
+
+    #[test]
+    fn braceless_cfg_test_mod_does_not_make_the_next_item_test_only() {
+        let src = "#[cfg(test)]\nmod tests;\n\npub fn live(x: f64) -> f64 {\n    let _ = Instant::now();\n    x\n}\n";
+        let found = findings_in(LIB, src);
+        let at: Vec<_> = found.iter().map(|f| (f.rule, f.line, f.column)).collect();
+        assert_eq!(
+            at,
+            vec![
+                (Rule::RawF64InPublicApi, 4, 1),
+                (Rule::Nondeterminism, 5, 13)
+            ]
+        );
+    }
+
+    #[test]
+    fn item_initializers_outside_fns_are_scanned() {
+        let src = "static START: Lazy<Instant> = Lazy::new(|| Instant::now());\n\
+                   const SEED: fn() -> u64 = || rand::rng().next_u64();\n";
+        let found = findings_in("crates/core/src/x.rs", src);
+        let at: Vec<_> = found.iter().map(|f| (f.line, f.column)).collect();
+        assert_eq!(at, vec![(1, 44), (2, 30)], "{found:?}");
     }
 
     #[test]
@@ -1078,6 +1046,15 @@ mod tests {
         let wrong_rule =
             "// mira-lint: allow(raw-f64-in-public-api)\nfn f() { let _ = Instant::now(); }\n";
         assert_eq!(findings_in(LIB, wrong_rule).len(), 1);
+        let f64_same =
+            "pub fn t(&self) -> f64 { self.t } // mira-lint: allow(raw-f64-in-public-api)\n";
+        assert!(findings_in(LIB, f64_same).is_empty());
+        let f64_above =
+            "// mira-lint: allow(raw-f64-in-public-api)\npub fn t(&self) -> f64 { self.t }\n";
+        assert!(findings_in(LIB, f64_above).is_empty());
+        let f64_wrong_rule =
+            "// mira-lint: allow(nondeterminism)\npub fn t(&self) -> f64 { self.t }\n";
+        assert_eq!(findings_in(LIB, f64_wrong_rule).len(), 1);
     }
 
     #[test]
@@ -1092,6 +1069,9 @@ mod tests {
     #[test]
     fn seeded_rng_paths_do_not_fire() {
         let src = "use rand::rngs::StdRng;\nfn f() { let _ = StdRng::seed_from_u64(7); }\n";
+        assert!(findings_in("crates/weather/src/x.rs", src).is_empty());
+        // Whole tokens only: longer identifiers and deeper paths pass.
+        let src = "fn f() { my_thread_rng(); MyInstant::now(); rand::rng::other(); }\n";
         assert!(findings_in("crates/weather/src/x.rs", src).is_empty());
     }
 
@@ -1116,8 +1096,22 @@ mod tests {
     fn crate_private_and_newtype_signatures_pass() {
         let private = "pub(crate) fn helper(x: f64) -> f64 { x }\n";
         assert!(findings_in("crates/weather/src/x.rs", private).is_empty());
+        let scoped = "pub(super) fn helper(x: f64) -> f64 { x }\n";
+        assert!(findings_in("crates/weather/src/x.rs", scoped).is_empty());
         let typed = "pub fn temperature(&self) -> Celsius { self.t }\n";
         assert!(findings_in("crates/cooling/src/x.rs", typed).is_empty());
+        let lookalike = "pub fn temperature(&self) -> f64x { self.t }\n";
+        assert!(findings_in("crates/cooling/src/x.rs", lookalike).is_empty());
+    }
+
+    #[test]
+    fn f64_in_generics_or_where_clause_fires() {
+        let generics = "pub fn fold<F: Fn(f64) -> Celsius>(f: F) -> Celsius { f(0.0) }\n";
+        assert_eq!(findings_in("crates/cooling/src/x.rs", generics).len(), 1);
+        let bound = "pub fn fold<F>(f: F) -> Celsius\nwhere\n    F: Fn(f64) -> Celsius,\n{\n    f(0.0)\n}\n";
+        let found = findings_in("crates/weather/src/x.rs", bound);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!((found[0].line, found[0].column), (1, 1));
     }
 
     #[test]
@@ -1133,6 +1127,11 @@ pub fn blend(
         let found = findings_in("crates/facility/src/x.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 1);
+        // Qualifiers between `pub` and `fn`; the column is the `pub`'s.
+        let src = "impl Pump {\n    pub const fn rpm(x: f64) -> Gpm {\n        Gpm(x)\n    }\n}\n";
+        let found = findings_in("crates/facility/src/x.rs", src);
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].line, found[0].column), (2, 5));
     }
 
     #[test]
@@ -1171,21 +1170,9 @@ pub fn blend(
     // -----------------------------------------------------------------
     // Semantic rules over mini-workspaces.
 
-    fn semantic(sources: &[(&str, &str)]) -> Vec<Finding> {
-        let files = sources
-            .iter()
-            .map(|(rel, src)| {
-                crate::parser::parse_file(Path::new(rel), src, &analyze(src), &UNIT_TYPES)
-            })
-            .collect();
-        let index = SymbolIndex::build(files, &[]);
-        let graph = CallGraph::build(&index);
-        semantic_findings(&index, &graph)
-    }
-
     #[test]
     fn panic_reachability_crosses_files_with_chain() {
-        let found = semantic(&[
+        let found = scan(&[
             (
                 "crates/core/src/api.rs",
                 "pub fn entry() {\n    crate::deep::helper();\n}\n",
@@ -1209,12 +1196,12 @@ pub fn blend(
 
     #[test]
     fn panic_reachability_skips_unaudited_and_private() {
-        let unaudited = semantic(&[(
+        let unaudited = scan(&[(
             "crates/nn/src/lib.rs",
             "pub fn entry(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )]);
         assert!(unaudited.iter().all(|f| f.rule != Rule::PanicReachability));
-        let private = semantic(&[(
+        let private = scan(&[(
             "crates/core/src/lib.rs",
             "pub(crate) fn entry(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )]);
@@ -1223,7 +1210,7 @@ pub fn blend(
 
     #[test]
     fn panic_reachability_discharged_at_source() {
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/timeseries/src/lib.rs",
             "pub fn entry(x: Option<u8>) -> u8 {\n    // length checked above. mira-lint: allow(panic-reachability)\n    x.unwrap()\n}\n",
         )]);
@@ -1232,7 +1219,7 @@ pub fn blend(
 
     #[test]
     fn panic_reachability_discharged_at_fn_line() {
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/timeseries/src/lib.rs",
             "pub fn entry(q: &[f64; 5]) -> f64 {\n    pick(q)\n}\n\
              // markers array is always length 5. mira-lint: allow(panic-reachability)\n\
@@ -1246,7 +1233,7 @@ pub fn blend(
 
     #[test]
     fn unit_flow_flags_cross_crate_raw_escape() {
-        let found = semantic(&[
+        let found = scan(&[
             (
                 "crates/core/src/lib.rs",
                 "use mira_units::Celsius;\npub(crate) fn push(t: Celsius) {\n    mira_cooling::ingest(t.value());\n}\n",
@@ -1261,7 +1248,7 @@ pub fn blend(
 
     #[test]
     fn unit_flow_sanctions_same_crate_and_dimensionless_sinks() {
-        let found = semantic(&[
+        let found = scan(&[
             (
                 "crates/core/src/lib.rs",
                 "use mira_units::Watts;\npub(crate) fn push(p: Watts) {\n    local(p.value());\n    mira_timeseries::record(p.value());\n}\nfn local(x: f64) {}\n",
@@ -1273,7 +1260,7 @@ pub fn blend(
 
     #[test]
     fn determinism_taint_reaches_through_calls() {
-        let found = semantic(&[
+        let found = scan(&[
             (
                 "crates/core/src/summary.rs",
                 "pub fn merge() {\n    crate::telemetry::stamp();\n}\n",
@@ -1294,7 +1281,7 @@ pub fn blend(
 
     #[test]
     fn determinism_taint_sanctions_the_executor_spawn() {
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/sweep.rs",
             "pub fn run() {\n    std::thread::scope(|s| {\n        s.spawn(|| {});\n    });\n}\n",
         )]);
@@ -1312,7 +1299,7 @@ pub fn blend(
     fn alloc_in_hot_path_fires_on_injected_vec_new() {
         // The acceptance fixture: a synthetic Vec::new smuggled beneath
         // sweep_step_into through a helper.
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/telemetry.rs",
             "pub struct TelemetryEngine;\n\
              impl TelemetryEngine {\n\
@@ -1337,7 +1324,7 @@ pub fn blend(
     fn alloc_in_hot_path_sanctions_scratch_reuse() {
         // Negative fixture: the real kernel shape — clear + push through
         // caller-owned buffers allocates nothing.
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/telemetry.rs",
             "pub struct TelemetryEngine;\n\
              impl TelemetryEngine {\n\
@@ -1353,7 +1340,7 @@ pub fn blend(
 
     #[test]
     fn alloc_in_hot_path_covers_merge_fns_and_fn_line_allow() {
-        let positive = semantic(&[(
+        let positive = scan(&[(
             "crates/timeseries/src/stats.rs",
             "pub struct Acc;\nimpl Acc {\n    pub fn merge(&mut self, other: &Acc) {\n        let label = format!(\"x\");\n        let _ = label;\n    }\n}\n",
         )]);
@@ -1362,7 +1349,7 @@ pub fn blend(
             "{positive:?}"
         );
         // The fn-line hatch discharges the body's bounded setup...
-        let allowed = semantic(&[(
+        let allowed = scan(&[(
             "crates/core/src/sweep.rs",
             "pub struct SweepPlan;\nimpl SweepPlan {\n    // bounded per-sweep setup. mira-lint: allow(alloc-in-hot-path)\n    pub fn run(&self) {\n        let shards: Vec<u8> = Vec::with_capacity(4);\n        let _ = shards;\n    }\n}\n",
         )]);
@@ -1371,7 +1358,7 @@ pub fn blend(
             "{allowed:?}"
         );
         // ...but never the callees beneath it: the walk continues.
-        let beneath = semantic(&[(
+        let beneath = scan(&[(
             "crates/core/src/sweep.rs",
             "pub struct SweepPlan;\nimpl SweepPlan {\n    // bounded per-sweep setup. mira-lint: allow(alloc-in-hot-path)\n    pub fn run(&self) {\n        leak();\n    }\n}\nfn leak() {\n    let s = String::new();\n    let _ = s;\n}\n",
         )]);
@@ -1383,7 +1370,7 @@ pub fn blend(
 
     #[test]
     fn cache_purity_fires_on_impure_memo_constructor() {
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/telemetry.rs",
             "pub struct HydroKey;\nimpl HydroKey {\n    pub fn new() -> Self {\n        stamp();\n        HydroKey\n    }\n}\n\
              fn stamp() {\n    let _ = std::time::SystemTime::now();\n}\n",
@@ -1399,7 +1386,7 @@ pub fn blend(
 
     #[test]
     fn cache_purity_passes_pure_constructor() {
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/weather/src/noise.rs",
             "pub struct NoiseCursor;\nimpl NoiseCursor {\n    pub fn new(seed: u64) -> u64 {\n        mix(seed)\n    }\n}\n\
              fn mix(z: u64) -> u64 {\n    z.wrapping_mul(7)\n}\n",
@@ -1412,7 +1399,7 @@ pub fn blend(
 
     #[test]
     fn shared_state_escape_fires_on_refcell_under_spawn() {
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/sweep.rs",
             "pub fn run() {\n    std::thread::scope(|s| {\n        s.spawn(|| tally());\n    });\n}\n\
              fn tally() {\n    let c = RefCell::new(0u64);\n    let _ = c;\n}\n",
@@ -1430,7 +1417,7 @@ pub fn blend(
     fn shared_state_escape_sanctions_mutex_slots() {
         // Negative fixture: the executor's slot-per-shard Mutex
         // discipline is the sanctioned pattern.
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/sweep.rs",
             "pub fn run() {\n    let slots: Vec<Mutex<u8>> = Vec::new();\n    std::thread::scope(|s| {\n        s.spawn(|| {});\n    });\n    let _ = slots;\n}\n",
         )]);
@@ -1444,7 +1431,7 @@ pub fn blend(
     fn determinism_taint_requires_receiver_typed_hash_iteration() {
         // The pre-dataflow false positive: sweep code that *looks up* a
         // HashMap but iterates a Vec must not fire.
-        let found = semantic(&[(
+        let found = scan(&[(
             "crates/core/src/summary.rs",
             "pub fn merge(m: &HashMap<u8, u8>) {\n    let v: Vec<u8> = Vec::new();\n    for x in v.iter() {\n        let _ = m.get(x);\n    }\n}\n",
         )]);
@@ -1453,7 +1440,7 @@ pub fn blend(
             "{found:?}"
         );
         // A resolved hash receiver still fires.
-        let hit = semantic(&[(
+        let hit = scan(&[(
             "crates/core/src/summary.rs",
             "pub fn merge() {\n    let m: HashMap<u8, u8> = HashMap::new();\n    for k in m.keys() {\n        let _ = k;\n    }\n}\n",
         )]);

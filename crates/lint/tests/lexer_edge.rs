@@ -1,58 +1,72 @@
 //! Regression tests for the lexer's tricky corners: raw strings,
 //! nested block comments, prefixed literals, lifetime/char-literal
-//! disambiguation, and `#[cfg(test)] mod tests;` pointing at a
-//! separate file.
+//! disambiguation, and whole-token boundaries, plus test-scope cases
+//! (`#[cfg(test)] mod tests;` pointing at a separate file or at
+//! nothing) that only the whole pipeline decides.
 //!
 //! Each case here once produced (or could produce) a false positive
-//! or a missed finding in the substring-matching line rules, so they
-//! are pinned as integration tests against the public lexer API.
+//! or a missed finding, so they are pinned as integration tests
+//! against the public `scrub`/`tokenize` API and [`Workspace::scan`].
 
 use std::path::PathBuf;
 
-use mira_lint::lexer::{analyze, scrub, token_bounded, token_matches};
+use mira_lint::lexer::{scrub, tokenize, Tok};
 use mira_lint::rules::Rule;
 use mira_lint::Workspace;
+
+/// The scrubbed view of `src`, one string per line.
+fn scrubbed_lines(src: &str) -> Vec<String> {
+    scrub(src).lines().map(str::to_owned).collect()
+}
+
+/// How many `name` identifier tokens survive in `code`.
+fn ident_count(code: &str, name: &str) -> usize {
+    tokenize(&scrub(code))
+        .iter()
+        .filter(|t| t.tok == Tok::Ident(name.to_owned()))
+        .count()
+}
 
 #[test]
 fn raw_string_with_hashes_is_blanked() {
     // The body contains rule-triggering text; none of it may survive
     // into the scrubbed view.
     let src = "let s = r#\"x.unwrap() as f64 panic!(\"no\")\"#;\n";
-    let lines = analyze(src);
-    assert!(!lines[0].code.contains("unwrap"));
-    assert!(!lines[0].code.contains("as f64"));
-    assert!(!lines[0].code.contains("panic"));
+    let code = &scrubbed_lines(src)[0];
+    assert!(!code.contains("unwrap"));
+    assert!(!code.contains("as f64"));
+    assert!(!code.contains("panic"));
     // The delimiters themselves survive, keeping byte offsets exact.
-    assert!(lines[0].code.starts_with("let s = r#\""));
-    assert_eq!(lines[0].code.len(), lines[0].raw.len());
+    assert!(code.starts_with("let s = r#\""));
+    assert_eq!(code.len(), src.trim_end().len());
 }
 
 #[test]
 fn raw_string_terminator_needs_matching_hash_count() {
     // `"#` inside an `r##"..."##` literal does not end it.
     let src = "let s = r##\"inner \"# still literal .unwrap()\"##; let y = 1;\n";
-    let lines = analyze(src);
-    assert!(!lines[0].code.contains("unwrap"), "{}", lines[0].code);
-    assert!(lines[0].code.ends_with("let y = 1;"));
+    let code = &scrubbed_lines(src)[0];
+    assert!(!code.contains("unwrap"), "{code}");
+    assert!(code.ends_with("let y = 1;"));
 }
 
 #[test]
 fn multiline_raw_string_blanks_every_line() {
     let src = "let s = r#\"line one .unwrap()\nline two as usize\n\"#;\nlet t = 0;\n";
-    let lines = analyze(src);
-    assert!(!lines[0].code.contains("unwrap"));
-    assert!(!lines[1].code.contains("as usize"));
-    assert_eq!(lines[3].code, "let t = 0;");
+    let lines = scrubbed_lines(src);
+    assert!(!lines[0].contains("unwrap"));
+    assert!(!lines[1].contains("as usize"));
+    assert_eq!(lines[3], "let t = 0;");
 }
 
 #[test]
 fn byte_and_raw_byte_literals_are_blanked() {
     let src = "let a = b\"unwrap()\"; let b = br#\"panic!()\"#; let c = b'\\'';\n";
-    let lines = analyze(src);
-    assert!(!lines[0].code.contains("unwrap"));
-    assert!(!lines[0].code.contains("panic"));
+    let code = &scrubbed_lines(src)[0];
+    assert!(!code.contains("unwrap"));
+    assert!(!code.contains("panic"));
     // The escaped byte char must not derail the rest of the line.
-    assert!(lines[0].code.ends_with(';'));
+    assert!(code.ends_with(';'));
 }
 
 #[test]
@@ -60,14 +74,13 @@ fn identifier_ending_in_r_is_not_a_raw_string() {
     // `var"text"` never occurs, but `ptr` / `b` as the *end* of an
     // identifier must not trigger the prefixed-literal path.
     let src = "let lower = upper.unwrap();\nlet rb = grab * 2;\n";
-    let lines = analyze(src);
     assert_eq!(
-        token_matches(&lines[0].code, "unwrap").count(),
+        ident_count(src, "unwrap"),
         1,
         "real unwrap survives scrubbing: {}",
-        lines[0].code
+        scrub(src)
     );
-    assert_eq!(lines[1].code, lines[1].raw);
+    assert_eq!(scrubbed_lines(src)[1], "let rb = grab * 2;");
 }
 
 #[test]
@@ -82,47 +95,59 @@ fn nested_block_comments_track_depth_across_lines() {
 #[test]
 fn escaped_quote_does_not_end_string() {
     let src = "let s = \"a \\\" b .unwrap() c\"; let live = x.unwrap();\n";
-    let lines = analyze(src);
     assert_eq!(
-        token_matches(&lines[0].code, "unwrap").count(),
+        ident_count(src, "unwrap"),
         1,
         "only the unwrap outside the literal remains: {}",
-        lines[0].code
+        scrub(src)
     );
 }
 
 #[test]
 fn lifetimes_survive_but_char_literals_are_blanked() {
     let src = "fn f<'a, 'de>(x: &'a str) -> char { if y == '}' { 'q' } else { '\\n' } }\n";
-    let lines = analyze(src);
-    assert!(lines[0].code.contains("<'a, 'de>"));
-    assert!(lines[0].code.contains("&'a str"));
-    assert!(!lines[0].code.contains("'q'"));
-    // The blanked `'}'` must not disturb brace-depth bookkeeping:
-    // a following `#[cfg(test)]` region still opens and closes sanely.
-    let src2 =
-        "fn f() -> char { '{' }\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn real() {}\n";
-    let lines2 = analyze(src2);
-    assert!(lines2[3].in_test_context, "inside the region");
-    assert!(!lines2[5].in_test_context, "region closed after `}}`");
+    let code = &scrubbed_lines(src)[0];
+    assert!(code.contains("<'a, 'de>"));
+    assert!(code.contains("&'a str"));
+    assert!(!code.contains("'q'"));
+    // The blanked `'{'` must not disturb brace matching: a following
+    // `#[cfg(test)]` module still opens and closes sanely.
+    let src2 = "fn f() -> char { '{' }\n#[cfg(test)]\nmod tests {\n    fn t() { let _ = Instant::now(); }\n}\nfn real() { let _ = Instant::now(); }\n";
+    let found = scan_core_lib(src2);
+    let lines: Vec<_> = found
+        .iter()
+        .filter(|f| f.rule == Rule::Nondeterminism)
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![6], "only the call after the module: {found:?}");
 }
 
 #[test]
 fn braceless_cfg_test_mod_does_not_leak_into_next_item() {
-    let src = "#[cfg(test)]\nmod tests;\n\npub fn live(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n";
-    let lines = analyze(src);
-    assert!(!lines[3].in_test_context, "fn after `mod tests;`");
-    assert!(!lines[4].in_test_context, "unwrap line is live code");
+    let src = "#[cfg(test)]\nmod tests;\n\npub fn live(o: Option<u8>) -> u8 {\n    let _ = Instant::now();\n    o.unwrap()\n}\n";
+    let found = scan_core_lib(src);
+    let at: Vec<_> = found.iter().map(|f| (f.rule, f.line)).collect();
+    assert!(
+        at.contains(&(Rule::PanicReachability, 4)),
+        "fn after `mod tests;` is live: {found:?}"
+    );
+    assert!(
+        at.contains(&(Rule::Nondeterminism, 5)),
+        "its body is live code: {found:?}"
+    );
 }
 
 #[test]
 fn token_bounded_edges() {
-    let code = "unwrap";
-    assert!(token_bounded(code, 0, 6), "whole-string match");
-    let code2 = "x.unwrap()";
-    assert!(token_bounded(code2, 2, 6));
-    let code3 = "unwrapped";
-    assert!(!token_bounded(code3, 0, 6), "prefix of a longer ident");
+    assert_eq!(ident_count("unwrap", "unwrap"), 1, "whole-string match");
+    let toks = tokenize(&scrub("x.unwrap()"));
+    assert_eq!(toks[2].tok, Tok::Ident("unwrap".to_owned()));
+    assert_eq!(toks[2].col, 3);
+    assert_eq!(
+        ident_count("unwrapped", "unwrap"),
+        0,
+        "prefix of a longer ident"
+    );
 }
 
 #[test]
@@ -146,7 +171,7 @@ fn external_cfg_test_mod_exempts_child_file_from_semantic_rules() {
                 .to_owned(),
         ),
     ]);
-    let findings = ws.scan(1);
+    let findings = ws.scan();
     let reach: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == Rule::PanicReachability)
@@ -154,7 +179,7 @@ fn external_cfg_test_mod_exempts_child_file_from_semantic_rules() {
     assert_eq!(reach.len(), 1, "{reach:?}");
     assert!(reach[0].file.ends_with("lib.rs"));
     assert!(reach[0].matched.contains("live"));
-    // Line rules are dropped in tests.rs too, via the cross-file
+    // The syntax rules skip tests.rs too, via the same cross-file
     // marking: its `Instant::now()` is not a nondeterminism finding.
     assert!(
         !findings
@@ -178,7 +203,7 @@ fn scan_core_lib(src: &str) -> Vec<mira_lint::Finding> {
         ),
         (PathBuf::from("crates/core/src/lib.rs"), src.to_owned()),
     ])
-    .scan(1)
+    .scan()
 }
 
 #[test]

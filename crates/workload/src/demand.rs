@@ -227,12 +227,6 @@ pub fn production_start() -> Date {
     Date::new(2014, 1, 1)
 }
 
-/// First day after Mira's production period (2020-01-01).
-#[must_use]
-pub fn production_end() -> Date {
-    Date::new(2020, 1, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
