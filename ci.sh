@@ -53,6 +53,15 @@ MIRA_SWEEP_THREADS=1 cargo test -q -p mira-core --test determinism
 echo "==> determinism under MIRA_SWEEP_THREADS=4"
 MIRA_SWEEP_THREADS=4 cargo test -q -p mira-core --test determinism
 
+# The same bits without AVX2: `.cargo/config.toml` builds for
+# x86-64-v3, where the noise kernels' `f64::floor` is one `roundsd` /
+# `vroundpd`; at baseline x86-64 it is a libm call. Rerun the digest and
+# determinism suites at the baseline target, in a target dir of their
+# own so the main build cache stays warm.
+echo "==> golden digests and determinism at baseline x86-64"
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/baseline-x86-64 \
+  cargo test -q -p mira-core --test golden_digests --test determinism
+
 # The observability layer has the same contract: the deterministic
 # metrics snapshot must be byte-identical at any worker count.
 echo "==> obs metrics determinism under MIRA_SWEEP_THREADS=1"

@@ -66,19 +66,49 @@ impl HeatExchanger {
     /// trip on temperature instead).
     #[must_use]
     pub fn delta_t(&self, flow: Gpm, heat: Watts) -> Fahrenheit {
+        Fahrenheit::new(self.rise(flow, heat.value()))
+    }
+
+    /// The rise of [`Self::delta_t`] in Fahrenheit degrees, branch-free:
+    /// the division runs on every input (a zero flow divides to `inf`
+    /// or NaN) and the no-flow / no-heat guard then selects zero.
+    fn rise(&self, flow: Gpm, heat_w: f64) -> f64 {
         let m_dot = flow.mass_flow_kg_per_s();
-        if m_dot <= 1e-9 || heat.value() <= 0.0 {
-            return Fahrenheit::new(0.0);
-        }
-        let dt_kelvin = heat.value() / (m_dot * WATER_CP * self.effectiveness);
+        let dt_kelvin = heat_w / (m_dot * WATER_CP * self.effectiveness);
         // A kelvin step is 1.8 Fahrenheit steps.
-        Fahrenheit::new(dt_kelvin * 1.8)
+        let rise = dt_kelvin * 1.8;
+        if m_dot <= 1e-9 || heat_w <= 0.0 {
+            0.0
+        } else {
+            rise
+        }
     }
 
     /// Outlet coolant temperature for a given inlet, flow and heat load.
     #[must_use]
     pub fn outlet_temperature(&self, inlet: Fahrenheit, flow: Gpm, heat: Watts) -> Fahrenheit {
         inlet + self.delta_t(flow, heat)
+    }
+
+    /// [`Self::outlet_temperature`] over a row of racks: lane `l` of
+    /// `outlet` gets the outlet temperature (F) for `inlet[l]` (F),
+    /// `flow[l]` (GPM) and `heat_w[l]` (W).
+    ///
+    /// Branch-free (see [`Self::delta_t`]'s guard) so the loop
+    /// vectorizes; each lane is bit-identical to the scalar call.
+    // Raw F / GPM / W lane rows, re-wrapped in their newtypes by the
+    // per-step view. mira-lint: allow(raw-f64-in-public-api)
+    pub fn outlet_lanes<const N: usize>(
+        &self,
+        inlet: &[f64; N],
+        flow: &[f64; N],
+        heat_w: &[f64; N],
+        outlet: &mut [f64; N],
+    ) {
+        let rows = inlet.iter().zip(flow.iter().zip(heat_w));
+        for ((&inlet, (&flow, &heat)), out) in rows.zip(outlet.iter_mut()) {
+            *out = inlet + self.rise(Gpm::new(flow), heat);
+        }
     }
 
     /// The heat load implied by an observed ΔT at a given flow — the
@@ -137,6 +167,37 @@ mod tests {
         assert!(
             fouled.delta_t(flow, Watts::new(50_000.0)) > good.delta_t(flow, Watts::new(50_000.0))
         );
+    }
+
+    #[test]
+    fn outlet_lanes_match_the_scalar_call_bit_for_bit() {
+        let hx = HeatExchanger::mira();
+        let bpm = mira_facility::BulkPowerModule::mira();
+        // Up racks at their operating point, a down rack (no heat), zero
+        // and near-zero flow (`m_dot <= 1e-9`), negative heat, a closed
+        // valve on a down rack, and an inlet of `-0.0` (which the scalar
+        // `inlet + 0.0` turns into `+0.0`).
+        let up_heat = bpm.heat_to_coolant_watts(0.8, 0.72).value();
+        let inlet = [64.0, 64.0, 63.5, 64.2, 64.0, -0.0, 58.9, 64.0];
+        let flow = [26.0, 26.0, 0.0, 1e-12, 27.1, 26.0, 26.0, 0.0];
+        let heat = [up_heat, 0.0, up_heat, up_heat, -5.0, 0.0, 61_000.0, 0.0];
+        let mut outlet = [f64::NAN; 8];
+        hx.outlet_lanes(&inlet, &flow, &heat, &mut outlet);
+        for l in 0..8 {
+            let want = hx.outlet_temperature(
+                Fahrenheit::new(inlet[l]),
+                Gpm::new(flow[l]),
+                Watts::new(heat[l]),
+            );
+            assert_eq!(outlet[l].to_bits(), want.value().to_bits(), "lane {l}");
+        }
+        // The guarded lanes read their inlet unchanged (up to the zero's
+        // sign); the live lanes carry a positive rise.
+        assert_eq!(outlet[1].to_bits(), 64.0f64.to_bits());
+        assert_eq!(outlet[2].to_bits(), 63.5f64.to_bits());
+        assert_eq!(outlet[3].to_bits(), 64.2f64.to_bits());
+        assert_eq!(outlet[5].to_bits(), 0.0f64.to_bits());
+        assert!(outlet[0] > 64.0 && outlet[6] > 58.9);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use mira_cooling::{
     ChilledWaterPlant, CoolantMonitor, CoolantMonitorSample, FlowCursor, FlowNetwork,
     HeatExchanger, MonitorBank, PlantLoad, PrecursorSignature,
 };
+use mira_facility::power::STANDBY_DRAW;
 use mira_facility::{BulkPowerModule, Machine, RackId};
 use mira_predictor::TelemetryProvider;
 use mira_ras::schedule::CmfSchedule;
@@ -424,8 +425,7 @@ impl TelemetryEngine {
         let power = if up {
             self.bpm.draw(load.utilization, load.intensity)
         } else {
-            // Power enclosure is off; monitors report only standby draw.
-            Kilowatts::new(1.5)
+            STANDBY_DRAW
         };
         let heat = if up {
             self.bpm
@@ -748,27 +748,21 @@ impl TelemetryEngine {
         }
 
         // Pass 6: power, heat, and exchanger outlet lanes.
+        let mut heat_w = [0.0; RackId::COUNT];
         for k in 0..len {
-            let up = &block.up[k];
-            let (util, intensity) = (&block.util[k], &block.intensity[k]);
-            let (inlet, flow_lane) = (&block.inlet[k], &block.flow[k]);
-            let (power, outlet) = (&mut block.power[k], &mut block.outlet[k]);
-            for l in 0..RackId::COUNT {
-                let (draw, heat) = if up[l] {
-                    (
-                        self.bpm.draw(util[l], intensity[l]).value(),
-                        self.bpm.heat_to_coolant_watts(util[l], intensity[l]),
-                    )
-                } else {
-                    // Power enclosure off: standby draw, no heat.
-                    (1.5, Watts::new(0.0))
-                };
-                power[l] = draw;
-                outlet[l] = self
-                    .exchanger
-                    .outlet_temperature(Fahrenheit::new(inlet[l]), Gpm::new(flow_lane[l]), heat)
-                    .value();
-            }
+            self.bpm.draw_lanes(
+                &block.up[k],
+                &block.util[k],
+                &block.intensity[k],
+                &mut block.power[k],
+                &mut heat_w,
+            );
+            self.exchanger.outlet_lanes(
+                &block.inlet[k],
+                &block.flow[k],
+                &heat_w,
+                &mut block.outlet[k],
+            );
         }
 
         // Pass 7: sensor observation lanes.

@@ -50,6 +50,10 @@ pub const LINE_CORDS_PER_RACK: u32 = 4;
 /// Line-cord current rating in amperes.
 pub const LINE_CORD_AMPS: f64 = 60.0;
 
+/// What a down rack's coolant monitor reports as power: its power
+/// enclosures are off, so only the standby draw remains.
+pub const STANDBY_DRAW: Kilowatts = Kilowatts::new(1.5);
+
 impl BulkPowerModule {
     /// The Mira BPM calibration.
     ///
@@ -103,7 +107,45 @@ impl BulkPowerModule {
     #[must_use]
     // Dimensionless utilization/intensity fractions. mira-lint: allow(raw-f64-in-public-api)
     pub fn heat_to_coolant_watts(&self, utilization: f64, intensity: f64) -> Watts {
-        Watts::new(self.draw(utilization, intensity).value() * self.efficiency * 1000.0)
+        Watts::new(self.coolant_watts(self.draw(utilization, intensity)))
+    }
+
+    /// The coolant-side heat, in watts, of an AC draw.
+    fn coolant_watts(&self, draw: Kilowatts) -> f64 {
+        draw.value() * self.efficiency * 1000.0
+    }
+
+    /// [`Self::draw`] and [`Self::heat_to_coolant_watts`] over a row of
+    /// racks: lane `l` of `draw_kw` gets the AC draw in kW and lane `l`
+    /// of `heat_w` the coolant heat in W of a rack at `utilization[l]`
+    /// and `intensity[l]`, or [`STANDBY_DRAW`] and no heat where
+    /// `up[l]` is false.
+    ///
+    /// Branch-free so the loop vectorizes: every lane computes the up
+    /// rack's draw and heat with the scalar expressions, and the up mask
+    /// then selects. Each lane is bit-identical to the scalar calls (or
+    /// to the standby pair on a down rack).
+    // Raw kW / W / fraction lane rows, re-wrapped in their newtypes by
+    // the per-step view. mira-lint: allow(raw-f64-in-public-api)
+    pub fn draw_lanes<const N: usize>(
+        &self,
+        up: &[bool; N],
+        utilization: &[f64; N],
+        intensity: &[f64; N],
+        draw_kw: &mut [f64; N],
+        heat_w: &mut [f64; N],
+    ) {
+        let rows = up.iter().zip(utilization.iter().zip(intensity));
+        for ((&up, (&u, &i)), (d, h)) in rows.zip(draw_kw.iter_mut().zip(heat_w.iter_mut())) {
+            let draw = self.draw(u, i);
+            let heat = self.coolant_watts(draw);
+            *d = if up {
+                draw.value()
+            } else {
+                STANDBY_DRAW.value()
+            };
+            *h = if up { heat } else { 0.0 };
+        }
     }
 
     /// Idle (zero-utilization) AC draw.
@@ -176,6 +218,29 @@ mod tests {
         let ac = bpm.max_draw().value() * 1000.0;
         assert!(heat < ac);
         assert!((heat / ac - bpm.efficiency()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn draw_lanes_match_the_scalar_calls_bit_for_bit() {
+        let bpm = BulkPowerModule::mira();
+        // Up and down racks, clamped inputs, and both zeros.
+        let up = [true, false, true, true, false, true, true, false];
+        let util = [0.8, 0.8, 0.0, -0.0, 0.0, 1.7, -0.3, 0.93];
+        let intensity = [0.72, 0.72, 0.5, 1.0, 0.0, 0.9, 0.4, 1.2];
+        let (mut draw, mut heat) = ([f64::NAN; 8], [f64::NAN; 8]);
+        bpm.draw_lanes(&up, &util, &intensity, &mut draw, &mut heat);
+        for l in 0..8 {
+            let (want_draw, want_heat) = if up[l] {
+                (
+                    bpm.draw(util[l], intensity[l]).value(),
+                    bpm.heat_to_coolant_watts(util[l], intensity[l]).value(),
+                )
+            } else {
+                (STANDBY_DRAW.value(), 0.0)
+            };
+            assert_eq!(draw[l].to_bits(), want_draw.to_bits(), "draw, lane {l}");
+            assert_eq!(heat[l].to_bits(), want_heat.to_bits(), "heat, lane {l}");
+        }
     }
 
     #[test]

@@ -645,24 +645,25 @@ impl Parser<'_> {
             params = parse_params(&self.toks[open + 1..close]);
         }
 
-        // Return type idents, up to the body / `;` / `where`.
+        // Return type idents, up to the body / `;` / `where`. Bracket
+        // depth is tracked through the return type and the where clause
+        // alike: the `;` of an array type (`-> [T; N]`) is not the end
+        // of a bodiless fn.
         let mut ret: Vec<String> = Vec::new();
-        if self.is_punct(0, b'-') && self.is_punct(1, b'>') {
+        let mut depth = 0usize;
+        let mut in_ret = self.is_punct(0, b'-') && self.is_punct(1, b'>');
+        if in_ret {
             self.pos += 2;
-            while self.pos < self.toks.len() {
-                match &self.toks[self.pos].tok {
-                    Tok::P(b'{' | b';') => break,
-                    Tok::Ident(s) if s == "where" => break,
-                    Tok::Ident(s) => {
-                        ret.push(s.clone());
-                        self.pos += 1;
-                    }
-                    _ => self.pos += 1,
-                }
-            }
         }
-        // Skip where clause.
-        while self.pos < self.toks.len() && !self.is_punct(0, b'{') && !self.is_punct(0, b';') {
+        while self.pos < self.toks.len() {
+            match &self.toks[self.pos].tok {
+                Tok::P(b'{' | b';') if depth == 0 => break,
+                Tok::P(b'[' | b'(') => depth += 1,
+                Tok::P(b']' | b')') => depth = depth.saturating_sub(1),
+                Tok::Ident(s) if s == "where" && depth == 0 => in_ret = false,
+                Tok::Ident(s) if in_ret => ret.push(s.clone()),
+                _ => {}
+            }
             self.pos += 1;
         }
 
@@ -1099,6 +1100,23 @@ mod tests {
         assert_eq!(file.fns[0].ret, vec!["Celsius"]);
         assert_eq!(file.fns[1].vis, Vis::Scoped);
         assert_eq!(file.fns[2].vis, Vis::Private);
+    }
+
+    #[test]
+    fn array_return_types_keep_their_body() {
+        let file = parse(
+            "pub fn arr(v: &[u8]) -> [u8; 2] { [v[0], 1] }\n\
+             fn nested() -> ([f64; 6], u8) where u8: Copy { o.unwrap() }\n\
+             fn decl() -> [u8; 2];\n\
+             fn after() {}\n",
+        );
+        let names: Vec<_> = file.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["arr", "nested", "decl", "after"]);
+        assert_eq!(file.fns[0].ret, vec!["u8"]);
+        assert_eq!(file.fns[0].panics.len(), 1, "the body's `v[0]`");
+        assert_eq!(file.fns[1].ret, vec!["f64", "u8"]);
+        assert_eq!(file.fns[1].panics.len(), 1, "the body's `unwrap`");
+        assert!(file.fns[2].panics.is_empty() && file.fns[2].calls.is_empty());
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub trait TelemetryProvider {
         let mut out = [0.0; 6];
         for (o, col) in out.iter_mut().zip(columns.iter_mut()) {
             col.sort_by(f64::total_cmp);
-            *o = col[col.len() / 2];
+            // One value per rack: the column is never empty.
+            *o = col.get(col.len() / 2).copied().unwrap_or(f64::NAN);
         }
         out
     }

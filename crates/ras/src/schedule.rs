@@ -245,7 +245,10 @@ fn per_rack_quota(seed: u64) -> [u32; RackId::COUNT] {
     let mut bumps = 342 - 46 * 7; // 20
     let mut guard = 0;
     while bumps > 0 {
-        let r = others[rng.random_range(0..others.len())];
+        // `get` of an in-range draw: always `Some`.
+        let Some(&r) = others.get(rng.random_range(0..others.len())) else {
+            break;
+        };
         // Row-0 racks (high utilization) dodge bumps more often.
         if r.row() == 0 && rng.random::<f64>() < 0.65 {
             guard += 1;
@@ -263,8 +266,12 @@ fn per_rack_quota(seed: u64) -> [u32; RackId::COUNT] {
     // the sum: pick pairs (donor with 8-9, receiver with 5-7... actually
     // donor loses, receiver gains).
     for _ in 0..14 {
-        let a = others[rng.random_range(0..others.len())];
-        let b = others[rng.random_range(0..others.len())];
+        let (Some(&a), Some(&b)) = (
+            others.get(rng.random_range(0..others.len())),
+            others.get(rng.random_range(0..others.len())),
+        ) else {
+            break;
+        };
         // Donors stay at 6+, keeping (2, 7)'s 5 the unique minimum.
         if a != b && quota[a.index()] > 6 && quota[b.index()] < 9 {
             // Tilt: prefer taking from row 0.

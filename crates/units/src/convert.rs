@@ -229,10 +229,9 @@ pub fn u64_from_f64_exact(x: f64) -> u64 {
 
 /// Floor of an `f64` as an `i64` (saturating at the `i64` range, NaN → 0).
 ///
-/// Implemented as truncate-and-adjust rather than `x.floor() as i64`:
-/// on baseline x86-64 (no SSE4.1 `roundsd`) `f64::floor` is a libm
-/// call, and this sits under every noise sample on the sweep hot path.
-/// The result is identical for every input — truncation rounds toward
+/// Implemented as truncate-and-adjust rather than `x.floor() as i64`,
+/// which on baseline x86-64 (no SSE4.1 `roundsd`) is a libm call. The
+/// result is identical for every input — truncation rounds toward
 /// zero, so only negative non-integers need the `-1` adjustment, and
 /// both paths saturate the same way at the `i64` range.
 #[must_use]

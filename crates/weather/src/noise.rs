@@ -16,17 +16,28 @@ use serde::{Deserialize, Serialize};
 /// A sweep advancing in 300 s steps crosses a multi-day lattice cell
 /// once every few thousand samples, so nearly every [`ValueNoise::sample_with`]
 /// call reuses the cached pair and skips both avalanche hashes. The
-/// cache is keyed on the integer cell index, and the cached values are a
-/// pure function of `(seed, cell)`, so cursor-assisted sampling returns
-/// bit-identical results to [`ValueNoise::sample`] from any prior cursor
-/// state — the cursor can be shared across sweeps, carried across shard
-/// boundaries, or start cold without affecting a single output bit.
-#[derive(Debug, Clone, Copy, Default)]
+/// cache is keyed on the cell (the floored phase, compared bit for bit;
+/// a cold cursor holds NaN, which matches no cell), and the cached
+/// values are a pure function of `(seed, cell)`, so cursor-assisted
+/// sampling returns bit-identical results to [`ValueNoise::sample`] from
+/// any prior cursor state — the cursor can be shared across sweeps,
+/// carried across shard boundaries, or start cold without affecting a
+/// single output bit.
+#[derive(Debug, Clone, Copy)]
 pub struct NoiseCursor {
-    cell: i64,
+    cell: f64,
     lo: f64,
     hi: f64,
-    primed: bool,
+}
+
+impl Default for NoiseCursor {
+    fn default() -> Self {
+        Self {
+            cell: f64::NAN,
+            lo: 0.0,
+            hi: 0.0,
+        }
+    }
 }
 
 /// Cursor bank for one [`ValueNoise::fractal`] call site: each octave's
@@ -52,7 +63,7 @@ impl FractalCursor {
 /// [`ValueNoise::fractal`] source — e.g. one lane per rack.
 ///
 /// A `Vec<FractalCursor>` scatters each lane's cursors across its own
-/// heap allocation; the bank keeps the cursor state in four contiguous
+/// heap allocation; the bank keeps the cursor state in three contiguous
 /// structure-of-arrays buffers (octave-major: slot `o * lanes + lane`)
 /// and derives the octave layers once, since they are identical for
 /// every lane. The layout lets [`FractalBank::fractal_lanes_into`]
@@ -63,16 +74,16 @@ impl FractalCursor {
 pub struct FractalBank {
     layers: Vec<ValueNoise>,
     lanes: usize,
-    /// Cached cell index per slot (octave-major).
-    cells: Vec<i64>,
+    /// Cached cell (floored phase) per slot, octave-major; NaN until
+    /// the slot's first fill, so a cold slot matches no cell.
+    cells: Vec<f64>,
     /// Cached lattice value at `cell` per slot.
     lo: Vec<f64>,
     /// Cached lattice value at `cell + 1` per slot.
     hi: Vec<f64>,
-    /// Whether the slot's cache has been filled at least once.
-    primed: Vec<bool>,
-    /// Per-lane phase/fraction scratch for [`Self::fractal_lanes_into`]
-    /// (holds `x`, then `frac`, between the kernel's passes).
+    /// Per-lane cell scratch for [`Self::fractal_lanes_into`].
+    floor: Vec<f64>,
+    /// Per-lane fraction scratch for [`Self::fractal_lanes_into`].
     frac: Vec<f64>,
 }
 
@@ -102,12 +113,14 @@ impl FractalBank {
     /// phase from any prior bank state.
     ///
     /// Each octave runs as three lane passes: a branch-free phase pass
-    /// (`x = (base + l·stride) / period`, the divisions vectorize), a
-    /// scalar floor/refill pass whose staleness branch is almost never
-    /// taken (multi-day cells), and a branch-free smoothstep-accumulate
-    /// pass. Staging `x` and `frac` through the scratch row is an exact
-    /// `f64` store/reload, so the split changes no arithmetic — only
-    /// which loop the compiler can vectorize.
+    /// (`x = (base + l·stride) / period`, its floor and fraction, and
+    /// whether any lane left its cached cell), a scalar refill pass over
+    /// the stale lanes that runs only when one is (multi-day cells: a
+    /// few times per thousand calls), and a branch-free
+    /// smoothstep-accumulate pass. Staging the cell and fraction through
+    /// the scratch rows is an exact `f64` store/reload, so the split
+    /// changes no arithmetic — only which loops the compiler can
+    /// vectorize.
     ///
     /// # Panics
     ///
@@ -129,22 +142,31 @@ impl FractalBank {
             let row = o * lanes..(o + 1) * lanes;
             let cells = &mut self.cells[row.clone()];
             let lo = &mut self.lo[row.clone()];
-            let hi = &mut self.hi[row.clone()];
-            let primed = &mut self.primed[row];
+            let hi = &mut self.hi[row];
+            let floor = &mut self.floor[..lanes];
             let frac = &mut self.frac[..lanes];
-            for (lane, x) in frac.iter_mut().enumerate() {
+            let mut stale = false;
+            for (lane, ((fl, f), cell)) in floor
+                .iter_mut()
+                .zip(frac.iter_mut())
+                .zip(cells.iter())
+                .enumerate()
+            {
                 let t = base + convert::f64_from_usize(lane) * stride;
-                *x = t / layer.period;
+                (*fl, *f) = split_phase(t / layer.period);
+                stale |= fl.to_bits() != cell.to_bits();
             }
-            for lane in 0..lanes {
-                let x = frac[lane];
-                let cell = convert::i64_from_f64_floor(x);
-                frac[lane] = x - convert::f64_from_i64(cell);
-                if !primed[lane] || cells[lane] != cell {
-                    cells[lane] = cell;
-                    lo[lane] = layer.lattice(cell);
-                    hi[lane] = layer.lattice(cell + 1);
-                    primed[lane] = true;
+            if stale {
+                for (((&fl, cell), l), h) in floor
+                    .iter()
+                    .zip(cells.iter_mut())
+                    .zip(lo.iter_mut())
+                    .zip(hi.iter_mut())
+                {
+                    if fl.to_bits() != cell.to_bits() {
+                        *cell = fl;
+                        (*l, *h) = layer.lattice_pair(fl);
+                    }
                 }
             }
             for (v, (&f, (&l, &h))) in out
@@ -199,6 +221,13 @@ impl ValueNoise {
         }
     }
 
+    /// The lattice values at `cell` and `cell + 1`, for an
+    /// integer-valued `cell` (a [`split_phase`] floor).
+    fn lattice_pair(&self, cell: f64) -> (f64, f64) {
+        let i = convert::i64_from_f64_floor(cell);
+        (self.lattice(i), self.lattice(i + 1))
+    }
+
     /// Uniform value in `[-1, 1]` at integer lattice point `i`.
     fn lattice(&self, i: i64) -> f64 {
         // SplitMix64-style avalanche of (seed, i).
@@ -214,15 +243,11 @@ impl ValueNoise {
     /// Samples the noise at time `t` seconds; smooth, in `[-1, 1]`.
     #[must_use]
     pub fn sample(&self, t: f64) -> f64 {
-        let x = t / self.period;
-        // Integer floor (not `f64::floor`, a libm call on baseline
-        // x86-64); `x - cell` equals `x - x.floor()` exactly since the
-        // cell is the floor value reconstructed losslessly.
-        let cell = convert::i64_from_f64_floor(x);
-        let frac = x - convert::f64_from_i64(cell);
+        let (cell, frac) = split_phase(t / self.period);
+        let (lo, hi) = self.lattice_pair(cell);
         // Smoothstep interpolation keeps the derivative continuous.
         let s = frac * frac * (3.0 - 2.0 * frac);
-        self.lattice(cell) * (1.0 - s) + self.lattice(cell + 1) * s
+        lo * (1.0 - s) + hi * s
     }
 
     /// Sum of `octaves` noise layers, each halving the period and the
@@ -257,17 +282,10 @@ impl ValueNoise {
     #[must_use]
     // Raw seconds axis, same contract as `sample`. mira-lint: allow(raw-f64-in-public-api)
     pub fn sample_with(&self, t: f64, cursor: &mut NoiseCursor) -> f64 {
-        let x = t / self.period;
-        // Same integer floor as [`Self::sample`] — no libm call.
-        let cell = convert::i64_from_f64_floor(x);
-        let frac = x - convert::f64_from_i64(cell);
-        if !cursor.primed || cursor.cell != cell {
-            *cursor = NoiseCursor {
-                cell,
-                lo: self.lattice(cell),
-                hi: self.lattice(cell + 1),
-                primed: true,
-            };
+        let (cell, frac) = split_phase(t / self.period);
+        if cursor.cell.to_bits() != cell.to_bits() {
+            let (lo, hi) = self.lattice_pair(cell);
+            *cursor = NoiseCursor { cell, lo, hi };
         }
         // Same smoothstep arithmetic as `sample`, with the lattice
         // hashes read from the cursor.
@@ -341,10 +359,10 @@ impl ValueNoise {
         let slots = layers.len() * lanes;
         FractalBank {
             lanes,
-            cells: vec![0; slots],
+            cells: vec![f64::NAN; slots],
             lo: vec![0.0; slots],
             hi: vec![0.0; slots],
-            primed: vec![false; slots],
+            floor: vec![0.0; lanes],
             frac: vec![0.0; lanes],
             layers,
         }
@@ -370,16 +388,12 @@ impl ValueNoise {
         let mut norm = 0.0;
         for (o, layer) in bank.layers.iter().enumerate() {
             let slot = o * bank.lanes + lane;
-            let x = t / layer.period;
-            // Same integer floor and smoothstep as [`Self::sample_with`],
-            // with the two lattice hashes read from the bank's SoA rows.
-            let cell = convert::i64_from_f64_floor(x);
-            let frac = x - convert::f64_from_i64(cell);
-            if !bank.primed[slot] || bank.cells[slot] != cell {
+            // Same floor and smoothstep as [`Self::sample_with`], with
+            // the two lattice hashes read from the bank's SoA rows.
+            let (cell, frac) = split_phase(t / layer.period);
+            if bank.cells[slot].to_bits() != cell.to_bits() {
                 bank.cells[slot] = cell;
-                bank.lo[slot] = layer.lattice(cell);
-                bank.hi[slot] = layer.lattice(cell + 1);
-                bank.primed[slot] = true;
+                (bank.lo[slot], bank.hi[slot]) = layer.lattice_pair(cell);
             }
             let s = frac * frac * (3.0 - 2.0 * frac);
             total += (bank.lo[slot] * (1.0 - s) + bank.hi[slot] * s) * amplitude;
@@ -388,6 +402,19 @@ impl ValueNoise {
         }
         total / norm
     }
+}
+
+/// Splits a lattice phase into its cell (`x.floor()`) and the fraction
+/// `x - cell` in `[0, 1]` (a phase a hair below a cell boundary rounds
+/// its fraction up to 1).
+///
+/// `f64::floor` is exact, so every build computes the same bits: one
+/// `roundsd` (or a `vroundpd` across lanes) at `x86-64-v3`, a libm call
+/// at baseline `x86-64`. Phases stay far inside `±2^53`, where the cell
+/// converts to the `i64` lattice index losslessly.
+fn split_phase(x: f64) -> (f64, f64) {
+    let cell = x.floor();
+    (cell, x - cell)
 }
 
 #[cfg(test)]
@@ -515,6 +542,134 @@ mod tests {
                     let t = base + lane as f64 * stride;
                     assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits());
                 }
+            }
+        }
+    }
+
+    /// `sample` through `convert::i64_from_f64_floor` (truncate, then
+    /// step down below the value) instead of `split_phase`: an oracle
+    /// that shares no floor code with the paths under test.
+    fn sample_integer_floor(n: &ValueNoise, t: f64) -> f64 {
+        let x = t / n.period;
+        let cell = convert::i64_from_f64_floor(x);
+        let frac = x - convert::f64_from_i64(cell);
+        let s = frac * frac * (3.0 - 2.0 * frac);
+        n.lattice(cell) * (1.0 - s) + n.lattice(cell + 1) * s
+    }
+
+    /// `fractal` over [`sample_integer_floor`].
+    fn fractal_integer_floor(n: &ValueNoise, t: f64, octaves: u32) -> f64 {
+        let (mut total, mut amplitude, mut norm) = (0.0, 1.0, 0.0);
+        for o in 0..octaves {
+            let layer = ValueNoise {
+                seed: n
+                    .seed
+                    .wrapping_add(u64::from(o).wrapping_mul(0x5851_F42D_4C95_7F2D)),
+                period: n.period / f64::from(1u32 << o),
+            };
+            total += sample_integer_floor(&layer, t) * amplitude;
+            norm += amplitude;
+            amplitude *= 0.5;
+        }
+        total / norm
+    }
+
+    /// Phases on and around the floor's edge cases: exact integers
+    /// (lattice points), negatives, both zeros, and a hair either side
+    /// of a cell boundary.
+    fn edge_phases(period: f64) -> Vec<f64> {
+        let mut ts = vec![0.0, -0.0, f64::MIN_POSITIVE, -f64::MIN_POSITIVE];
+        for k in [-7i64, -2, -1, 1, 2, 7, 40_000] {
+            let on = k as f64 * period;
+            ts.extend([on, on.next_down(), on.next_up(), on + 0.5 * period]);
+        }
+        ts
+    }
+
+    #[test]
+    fn sample_with_is_bit_identical_at_floor_edges() {
+        let n = ValueNoise::new(31, 3600.0);
+        let mut cur = NoiseCursor::default();
+        // Each phase twice: a refill, then a cache hit.
+        for t in edge_phases(3600.0) {
+            for _ in 0..2 {
+                let want = sample_integer_floor(&n, t).to_bits();
+                assert_eq!(n.sample(t).to_bits(), want, "sample at {t:?}");
+                assert_eq!(n.sample_with(t, &mut cur).to_bits(), want, "at {t:?}");
+            }
+        }
+        // A cold cursor and a cursor warmed on the other zero agree.
+        let mut warm = NoiseCursor::default();
+        let _ = n.sample_with(0.0, &mut warm);
+        for t in [-0.0, 0.0] {
+            let want = n.sample(t).to_bits();
+            assert_eq!(
+                n.sample_with(t, &mut NoiseCursor::default()).to_bits(),
+                want
+            );
+            assert_eq!(n.sample_with(t, &mut warm).to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn lane_kernel_is_bit_identical_at_floor_edges() {
+        let n = ValueNoise::new(5, 3600.0);
+        let mut out = [0.0f64; 6];
+        // Integer strides keep every lane on a lattice point of both
+        // octaves; a negative stride walks the lanes below zero, and
+        // `-0.0 + 0.0 * -3600.0` puts lane 0 exactly on `-0.0`.
+        for (base, stride) in [
+            (0.0, 3600.0),
+            (-0.0, -3600.0),
+            (-7.0 * 3600.0, 1800.0),
+            (3600.0f64.next_down(), -3600.0),
+            (-1e-9, 1e-9),
+        ] {
+            // A cold bank, then the same call again on the warm bank.
+            let mut bank = n.fractal_bank(2, out.len());
+            for _ in 0..2 {
+                bank.fractal_lanes_into(base, stride, &mut out);
+                for (lane, v) in out.iter().enumerate() {
+                    let t = base + lane as f64 * stride;
+                    assert_eq!(
+                        fractal_integer_floor(&n, t, 2).to_bits(),
+                        v.to_bits(),
+                        "lane {lane} at {t:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_crosses_cells_mid_block_with_lane_calls_between() {
+        let n = ValueNoise::new(12, 3600.0);
+        let lanes = 5;
+        let stride = 1234.5;
+        let mut bank = n.fractal_bank(3, lanes);
+        let mut out = vec![0.0f64; lanes];
+        // 300 s steps: one or two lanes leave their cell on any given
+        // call while the rest hit their cache, and scalar lane calls
+        // (at other phases) rewrite some slots in between.
+        for k in 0..200i64 {
+            let base = -30_000.0 + k as f64 * 300.0;
+            if k % 7 == 3 {
+                let lane = usize::try_from(k).expect("non-negative") % lanes;
+                let t = base * 2.5;
+                assert_eq!(
+                    n.fractal_with_lane(t, &mut bank, lane).to_bits(),
+                    fractal_integer_floor(&n, t, 3).to_bits(),
+                    "lane call {lane} at {t}"
+                );
+            }
+            bank.fractal_lanes_into(base, stride, &mut out);
+            for (lane, v) in out.iter().enumerate() {
+                let t = base + lane as f64 * stride;
+                assert_eq!(
+                    fractal_integer_floor(&n, t, 3).to_bits(),
+                    v.to_bits(),
+                    "lane {lane} at {t}"
+                );
             }
         }
     }

@@ -13,6 +13,11 @@
 //! step: it crosses the June/July calendar-month shard seam and the
 //! July 2016 Theta boundary of the operational timeline, and its 700
 //! instants are not a multiple of the batched kernel's block length.
+//!
+//! The production-step span runs the same seam at the 300 s step every
+//! figure sweep uses: at that step a noise-lattice cell lasts thousands
+//! of instants, so nearly every kernel call takes the cursors'
+//! cache-hit path, which the coarse seam step rarely reaches.
 
 use std::sync::OnceLock;
 
@@ -67,6 +72,21 @@ const INCREMENTAL_SUMMARY_DIGEST: u64 = 0x2a7c_1eb6_1b50_c16f;
 /// layout changes.
 const SEAM_REPORT_DIGEST: u64 = 0x4651_eade_7b32_bb2e;
 
+/// The production-step span and its step.
+fn production() -> (SimTime, SimTime, Duration) {
+    (
+        at(2016, 6, 16, 0, 0),
+        at(2016, 7, 15, 0, 25),
+        Duration::from_minutes(5),
+    )
+}
+
+/// Instants on the production-step grid inside `[from, to)`.
+const PRODUCTION_INSTANTS: usize = 8_357;
+
+const PRODUCTION_SUMMARY_DIGEST: u64 = 0x94fb_4dd6_a289_3eab;
+const PRODUCTION_REPORT_DIGEST: u64 = 0xa9b3_2c9c_4c64_48df;
+
 #[test]
 fn seam_span_is_ragged_and_crosses_both_seams() {
     let (from, to, step) = seam();
@@ -92,6 +112,44 @@ fn summary_digest_is_frozen_at_any_thread_count() {
             u64::try_from(SEAM_INSTANTS).expect("small")
         );
         assert_eq!(digest_debug(&summary), SUMMARY_DIGEST, "threads={threads}");
+    }
+}
+
+#[test]
+fn production_step_span_is_ragged_and_crosses_both_seams() {
+    let (from, to, step) = production();
+    let theta = SimTime::from_date(Date::new(2016, 7, 1));
+    assert!(from < theta && theta < to);
+    let last = i64::try_from(PRODUCTION_INSTANTS).expect("small") - 1;
+    assert!(from + step * last < to && to <= from + step * (last + 1));
+    assert_ne!(PRODUCTION_INSTANTS % SWEEP_BLOCK, 0);
+}
+
+#[test]
+fn production_step_digests_are_frozen_at_any_thread_count() {
+    let (from, to, step) = production();
+    for threads in [1, 2, 0] {
+        let summary = sim()
+            .sweep_plan((from, to))
+            .step(step)
+            .threads(threads)
+            .summary()
+            .expect("non-empty span");
+        assert_eq!(
+            summary.power_mw.bins.overall().count(),
+            u64::try_from(PRODUCTION_INSTANTS).expect("small")
+        );
+        assert_eq!(
+            digest_debug(&summary),
+            PRODUCTION_SUMMARY_DIGEST,
+            "summary, threads={threads}"
+        );
+        let report = full_report(sim(), &summary);
+        assert_eq!(
+            digest_debug(&report),
+            PRODUCTION_REPORT_DIGEST,
+            "report, threads={threads}"
+        );
     }
 }
 
