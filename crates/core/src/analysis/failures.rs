@@ -82,18 +82,25 @@ pub fn fig12_cmf_leadup(sim: &Simulation, leads: &[Duration], max_events: usize)
     let ground_truth = sim.cmf_ground_truth();
     let events: Vec<&(SimTime, RackId)> = ground_truth.iter().take(max_events).collect();
 
+    // Each event's baseline, sampled once; events without a usable one
+    // are skipped at every lead.
+    let baselines: Vec<_> = events
+        .iter()
+        .filter_map(|&&(cmf_time, rack)| {
+            let baseline = telemetry.sample(rack, cmf_time - Duration::from_hours(24));
+            (baseline.flow.value().is_finite() && baseline.flow.value() >= 1.0)
+                .then_some((cmf_time, rack, baseline))
+        })
+        .collect();
+
     let mut points = Vec::with_capacity(leads.len());
     for &lead in leads {
         let mut flow = 0.0;
         let mut inlet = 0.0;
         let mut outlet = 0.0;
         let mut n = 0.0;
-        for &(cmf_time, rack) in events.iter().copied() {
-            let baseline = telemetry.sample(rack, cmf_time - Duration::from_hours(24));
-            if !baseline.flow.value().is_finite() || baseline.flow.value() < 1.0 {
-                continue;
-            }
-            let s = telemetry.sample(rack, cmf_time - lead);
+        for (cmf_time, rack, baseline) in &baselines {
+            let s = telemetry.sample(*rack, *cmf_time - lead);
             flow += s.flow.value() / baseline.flow.value();
             inlet += s.inlet.value() / baseline.inlet.value();
             outlet += s.outlet.value() / baseline.outlet.value();

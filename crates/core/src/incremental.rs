@@ -54,7 +54,7 @@ use mira_units::convert;
 
 use crate::analysis::{full_report, FigureReport};
 use crate::error::Error;
-use crate::obs::{keys, record_executor_shape, ObservedSweep, SweepObsRecorder};
+use crate::obs::{record_executor_shape, ObservedSweep, SweepObsRecorder};
 use crate::simulation::Simulation;
 use crate::summary::SweepSummary;
 use crate::sweep::{fold_grid, MonthStarts, Recorder, SweepError};
@@ -285,12 +285,8 @@ impl IncrementalSweep {
     /// [`Simulation::summarize_observed`] over the ingested span,
     /// except that the nondeterministic `timings` section stays empty
     /// (a long-running caller times its own ingest; see `mira-serve`).
-    ///
-    /// The hydraulic-memo counters are emitted from the sweep-path
-    /// contract (one solve per instant, no memo hits — what
-    /// `tests/sweep_scratch.rs` pins for the batch path) rather than
-    /// from engine-global counters, so reports stay deterministic even
-    /// while other queries hit the same engine concurrently.
+    /// Every metric is a pure function of the ingested span, so reports
+    /// stay deterministic while other queries read the same engine.
     ///
     /// # Errors
     ///
@@ -301,10 +297,6 @@ impl IncrementalSweep {
         if self.mode.is_on() {
             let (from, to) = self.span();
             record_executor_shape(&mut report.metrics, from, to, self.step);
-            report.metrics.add(keys::COOLING_HYDRO_CACHE_HITS, 0);
-            report
-                .metrics
-                .add(keys::COOLING_HYDRO_CACHE_MISSES, self.steps_ingested());
         }
         Ok(ObservedSweep { summary, report })
     }

@@ -74,10 +74,6 @@ pub mod keys {
     pub const SWEEP_RUN: &str = "sweep.run";
     /// Wall-clock timing key for the observed sweep.
     pub const SWEEP_WALL: &str = "sweep.wall";
-    /// Hydraulic-solve memo hits during the observed sweep.
-    pub const COOLING_HYDRO_CACHE_HITS: &str = "cooling.hydro_cache_hits";
-    /// Hydraulic-solve memo misses (actual flow-network solves).
-    pub const COOLING_HYDRO_CACHE_MISSES: &str = "cooling.hydro_cache_misses";
 }
 
 /// System power histogram bounds (MW). Mira idles near 2 MW and peaks
@@ -379,7 +375,6 @@ impl Simulation {
     ) -> Result<ObservedSweep, Error> {
         let plan = self.sweep_plan(span).step(step).threads(threads);
         let (from, to) = plan.span();
-        let (hydro_hits_before, hydro_misses_before) = self.telemetry().hydro_cache_stats();
         let begin = clock.nanos();
         let (summary, mut report) = plan.run(|| {
             (
@@ -391,19 +386,6 @@ impl Simulation {
 
         if mode.is_on() {
             record_executor_shape(&mut report.metrics, from, to, step);
-            // Hydraulic-memo traffic attributable to this sweep. The
-            // scratch path solves once per step (a miss each) and never
-            // consults the memo, so the deltas are pure functions of
-            // the plan — identical at every thread count.
-            let (hits, misses) = self.telemetry().hydro_cache_stats();
-            report.metrics.add(
-                keys::COOLING_HYDRO_CACHE_HITS,
-                hits.saturating_sub(hydro_hits_before),
-            );
-            report.metrics.add(
-                keys::COOLING_HYDRO_CACHE_MISSES,
-                misses.saturating_sub(hydro_misses_before),
-            );
             report.timings.record(keys::SWEEP_WALL, elapsed);
         }
         Ok(ObservedSweep { summary, report })

@@ -3,12 +3,9 @@
 //!
 //! Every quantity here is a deterministic function of `(seed, rack,
 //! time)`, which is what makes the rest of the workspace cheap: analyses
-//! can random-access any instant (the CMF predictor samples six-hour
-//! windows around failures without replaying history), and two
+//! can random-access any instant (the CMF predictor reads six-hour
+//! floor windows around failures without replaying history), and two
 //! simulations with the same seed agree bit-for-bit.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +15,7 @@ use mira_cooling::{
 };
 use mira_facility::power::STANDBY_DRAW;
 use mira_facility::{BulkPowerModule, Machine, RackId};
-use mira_predictor::TelemetryProvider;
+use mira_predictor::{FloorRow, TelemetryProvider};
 use mira_ras::schedule::CmfSchedule;
 use mira_ras::{AvailabilityCursor, RackAvailability, RasLog};
 use mira_timeseries::{CivilDayCache, CivilParts, Duration, SimTime};
@@ -77,37 +74,6 @@ pub struct SystemSnapshot {
     pub rack_up: Vec<bool>,
 }
 
-/// Memo key for the hydraulic solve: the exact inputs of
-/// [`FlowNetwork::distribute`], so a hit can only ever return the value
-/// the cold path would compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HydroKey {
-    t: i64,
-    setpoint_bits: u64,
-    valves: u64,
-}
-
-impl HydroKey {
-    fn new(t: SimTime, setpoint: Gpm, valve_open: &[bool; RackId::COUNT]) -> Self {
-        let valves =
-            valve_open.iter().enumerate().fold(
-                0u64,
-                |mask, (i, &open)| {
-                    if open {
-                        mask | (1u64 << i)
-                    } else {
-                        mask
-                    }
-                },
-            );
-        Self {
-            t: t.epoch_seconds(),
-            setpoint_bits: setpoint.value().to_bits(),
-            valves,
-        }
-    }
-}
-
 /// Cached next-CMF lookups per rack, each with the validity window
 /// between the neighbouring CMF instants.
 ///
@@ -122,21 +88,8 @@ pub struct CmfCursor {
 }
 
 /// The telemetry engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TelemetryEngine {
-    /// Memoized floor medians (differential features ask for the same
-    /// instant once per rack; telemetry is pure, so caching is safe).
-    median_cache: Mutex<std::collections::HashMap<i64, [f64; 6]>>,
-    /// Single-entry memo for the hydraulic solve, keyed on its exact
-    /// inputs. Random-access callers ([`TelemetryProvider::sample`]
-    /// probes 48 racks at one instant through 48 snapshots) hit it; the
-    /// scratch sweep path solves exactly once per step and never reads
-    /// it.
-    hydro_memo: Mutex<Option<(HydroKey, Vec<Gpm>)>>,
-    /// Hydraulic-solve memo hits since construction.
-    hydro_hits: AtomicU64,
-    /// Hydraulic solves actually performed since construction.
-    hydro_misses: AtomicU64,
     seed: u64,
     climate: ChicagoClimate,
     workload: WorkloadModel,
@@ -175,10 +128,6 @@ impl TelemetryEngine {
         }
 
         Self {
-            median_cache: Mutex::new(std::collections::HashMap::new()),
-            hydro_memo: Mutex::new(None),
-            hydro_hits: AtomicU64::new(0),
-            hydro_misses: AtomicU64::new(0),
             seed,
             climate: ChicagoClimate::new(seed),
             workload: WorkloadModel::new(seed),
@@ -274,16 +223,6 @@ impl TelemetryEngine {
         next
     }
 
-    /// Hydraulic-solve memo counters `(hits, misses)` accumulated since
-    /// the engine was built. A miss is a solve actually performed.
-    #[must_use]
-    pub fn hydro_cache_stats(&self) -> (u64, u64) {
-        (
-            self.hydro_hits.load(Ordering::Relaxed),
-            self.hydro_misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Computes the shared per-instant state.
     #[must_use]
     pub fn snapshot(&self, t: SimTime) -> SystemSnapshot {
@@ -308,7 +247,9 @@ impl TelemetryEngine {
             .plant
             .respond(t, free, heat_watts, self.timeline.supply_uplift(t));
 
-        let flows = self.distribute_memo(t, self.effective_setpoint(t, &demand), &valve_open);
+        let flows = self
+            .network
+            .distribute(t, self.effective_setpoint(t, &demand), &valve_open);
 
         SystemSnapshot {
             time: t,
@@ -321,39 +262,6 @@ impl TelemetryEngine {
             flows,
             rack_up,
         }
-    }
-
-    /// The hydraulic solve behind [`Self::snapshot`], memoized on its
-    /// exact inputs. The memo holds one entry: random access probes the
-    /// same instant repeatedly (48 racks per [`TelemetryProvider`]
-    /// sample), while a sweep never revisits an instant and pays one
-    /// solve per step.
-    fn distribute_memo(
-        &self,
-        t: SimTime,
-        setpoint: Gpm,
-        valve_open: &[bool; RackId::COUNT],
-    ) -> Vec<Gpm> {
-        let key = HydroKey::new(t, setpoint, valve_open);
-        {
-            let memo = self
-                .hydro_memo
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some((cached, flows)) = memo.as_ref() {
-                if *cached == key {
-                    self.hydro_hits.fetch_add(1, Ordering::Relaxed);
-                    return flows.clone();
-                }
-            }
-        }
-        self.hydro_misses.fetch_add(1, Ordering::Relaxed);
-        let flows = self.network.distribute(t, setpoint, valve_open);
-        *self
-            .hydro_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some((key, flows.clone()));
-        flows
     }
 
     /// The operator-trimmed loop setpoint: the structural 1,250/1,300
@@ -631,13 +539,6 @@ impl TelemetryEngine {
         if len == 0 {
             return;
         }
-
-        // The sweep grid never revisits an instant, so every instant is
-        // a fresh hydraulic solve: one batched add keeps the miss
-        // counter honest about work performed without a per-step atomic
-        // RMW. The single-entry `hydro_memo` is never consulted here —
-        // it serves only random-access callers via `snapshot`.
-        self.hydro_misses.fetch_add(len as u64, Ordering::Relaxed);
 
         // Pass 1: per-instant scalars.
         for k in 0..len {
@@ -1072,64 +973,20 @@ impl TelemetryProvider for TelemetryEngine {
         mira_cooling::monitor::SAMPLE_INTERVAL
     }
 
-    fn floor_median(&self, t: SimTime) -> [f64; 6] {
-        let key = t.epoch_seconds();
-        if let Some(hit) = self
-            .median_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return *hit;
-        }
-        // One snapshot for all 48 racks instead of 48 snapshots.
-        let (_, samples) = self.observe_all(t);
-        let mut columns: [Vec<f64>; 6] = Default::default();
-        for s in &samples {
-            for (col, v) in columns.iter_mut().zip(s.channels()) {
-                col.push(v);
+    /// One [`TelemetryEngine::sweep_steps_into`] over the window, read
+    /// from the block's observed-sample lanes: bit for bit the default's
+    /// 48 [`TelemetryProvider::sample`] calls per instant.
+    // The kernel fills `rows.len()` instants of 48 lanes, so `k` and `l`
+    // index the block's lane rows in bounds. mira-lint: allow(panic-reachability)
+    fn floor_window(&self, from: SimTime, rows: &mut [FloorRow]) {
+        let mut scratch = self.sweep_scratch();
+        self.sweep_steps_into(from, self.interval(), rows.len(), &mut scratch);
+        let obs = &scratch.block.obs;
+        for (k, row) in rows.iter_mut().enumerate() {
+            let lanes = obs.each_ref().map(|channel| &channel[k]);
+            for (l, channels) in row.iter_mut().enumerate() {
+                *channels = lanes.map(|lane| lane[l]);
             }
-        }
-        let mut out = [0.0; 6];
-        for (o, col) in out.iter_mut().zip(columns.iter_mut()) {
-            col.sort_by(f64::total_cmp);
-            *o = col[col.len() / 2];
-        }
-        let mut cache = self
-            .median_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Bounded: the whole six years at 300 s is ~630k instants; cap
-        // well below that and reset rather than evict.
-        if cache.len() > 400_000 {
-            cache.clear();
-        }
-        cache.insert(key, out);
-        out
-    }
-}
-
-impl Clone for TelemetryEngine {
-    fn clone(&self) -> Self {
-        Self {
-            median_cache: Mutex::new(std::collections::HashMap::new()),
-            hydro_memo: Mutex::new(None),
-            hydro_hits: AtomicU64::new(0),
-            hydro_misses: AtomicU64::new(0),
-            seed: self.seed,
-            climate: self.climate,
-            workload: self.workload.clone(),
-            machine: self.machine.clone(),
-            plant: self.plant.clone(),
-            network: self.network.clone(),
-            exchanger: self.exchanger,
-            bpm: self.bpm,
-            timeline: self.timeline,
-            signature: self.signature.clone(),
-            flow_ops_noise: self.flow_ops_noise,
-            monitors: self.monitors.clone(),
-            availability: self.availability.clone(),
-            cmf_times: self.cmf_times.clone(),
         }
     }
 }
@@ -1229,6 +1086,53 @@ mod tests {
             "inlet sag {drop} (healthy {}, trough {})",
             s_healthy.inlet,
             s_trough.inlet
+        );
+    }
+
+    /// The default [`TelemetryProvider::floor_window`]: 48 `sample`
+    /// calls per instant.
+    struct ByRack<'a>(&'a TelemetryEngine);
+
+    impl TelemetryProvider for ByRack<'_> {
+        fn sample(&self, rack: RackId, t: SimTime) -> CoolantMonitorSample {
+            self.0.sample(rack, t)
+        }
+
+        fn interval(&self) -> Duration {
+            self.0.interval()
+        }
+    }
+
+    #[test]
+    fn floor_window_matches_per_rack_samples_bit_for_bit() {
+        let e = engine();
+        let schedule = CmfSchedule::generate(21);
+        let incident = &schedule.incidents()[0];
+        // A month seam off the 5-minute grid, and a window running from
+        // inside the precursor horizon through the failure and outage.
+        let seam =
+            SimTime::from_date(Date::new(2015, 4, 1)) - Duration::from_seconds(3 * 3_600 + 17);
+        for (from, n) in [(seam, 72), (incident.time - Duration::from_hours(5), 97)] {
+            let mut kernel = vec![[[0.0; 6]; RackId::COUNT]; n];
+            let mut scalar = kernel.clone();
+            e.floor_window(from, &mut kernel);
+            ByRack(&e).floor_window(from, &mut scalar);
+            for (k, (a, b)) in kernel.iter().zip(&scalar).enumerate() {
+                for (l, (ra, rb)) in a.iter().zip(b).enumerate() {
+                    for (c, (va, vb)) in ra.iter().zip(rb).enumerate() {
+                        assert_eq!(
+                            va.to_bits(),
+                            vb.to_bits(),
+                            "instant {k} rack {l} channel {c}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            e.next_cmf(incident.epicenter, incident.time - Duration::from_hours(5)),
+            Some(incident.time),
+            "the second window starts inside the epicenter's precursor"
         );
     }
 

@@ -92,9 +92,8 @@ pub const HOT_MERGE_CRATES: [&str; 3] = ["core", "obs", "timeseries"];
 /// constructor and every lookup beneath a purity-keyed cache must be a
 /// pure function of its inputs, or the cache silently serves stale or
 /// order-dependent values.
-pub const CACHE_PURE_TYPES: [(&str, &str); 10] = [
+pub const CACHE_PURE_TYPES: [(&str, &str); 9] = [
     ("cooling", "MonitorBank"),
-    ("core", "HydroKey"),
     ("core", "SweepBlock"),
     ("timeseries", "CivilDayCache"),
     ("timeseries", "CivilParts"),
@@ -318,8 +317,8 @@ impl Rule {
             }
             Rule::CachePurity => {
                 "cache-purity (semantic rule)\n\n\
-                 The memo layers (HydroKey-keyed hydraulics, NoiseCursor /\n\
-                 FractalBank weather lattices, CivilDayCache calendar lookups)\n\
+                 The memo layers (NoiseCursor / FractalBank weather\n\
+                 lattices, CivilDayCache calendar lookups, SweepBlock lanes)\n\
                  assume key construction and every transitive callee are pure\n\
                  functions of their inputs. A wall-clock read, RNG call, I/O,\n\
                  `static` item, or interior-mutable cell (Cell/RefCell/\n\
@@ -1372,7 +1371,7 @@ pub fn blend(
     fn cache_purity_fires_on_impure_memo_constructor() {
         let found = scan(&[(
             "crates/core/src/telemetry.rs",
-            "pub struct HydroKey;\nimpl HydroKey {\n    pub fn new() -> Self {\n        stamp();\n        HydroKey\n    }\n}\n\
+            "pub struct SweepBlock;\nimpl SweepBlock {\n    pub fn new() -> Self {\n        stamp();\n        SweepBlock\n    }\n}\n\
              fn stamp() {\n    let _ = std::time::SystemTime::now();\n}\n",
         )]);
         let hits: Vec<_> = found
@@ -1380,7 +1379,7 @@ pub fn blend(
             .filter(|f| f.rule == Rule::CachePurity)
             .collect();
         assert_eq!(hits.len(), 1, "{found:?}");
-        assert_eq!(hits[0].chain, vec!["HydroKey::new", "stamp"]);
+        assert_eq!(hits[0].chain, vec!["SweepBlock::new", "stamp"]);
         assert!(hits[0].matched.contains("SystemTime"));
     }
 

@@ -16,11 +16,18 @@ use mira_units::convert;
 
 use crate::features::FeatureConfig;
 
-/// Random-access source of coolant-monitor telemetry.
+/// One instant of the whole floor: the six telemetry channels
+/// ([`CoolantMonitorSample::channels`] order) of every rack, indexed by
+/// [`RackId::index`].
+pub type FloorRow = [[f64; 6]; RackId::COUNT];
+
+/// Source of coolant-monitor telemetry.
 ///
 /// The simulator's telemetry is a pure function of `(rack, time)`, so
 /// training data can be extracted for any instant without replaying the
-/// whole history.
+/// whole history. Feature windows read whole instants through
+/// [`TelemetryProvider::floor_window`]; [`TelemetryProvider::sample`]
+/// is the one-rack random access it defaults to.
 pub trait TelemetryProvider {
     /// The coolant-monitor sample for `rack` at `t`.
     fn sample(&self, rack: RackId, t: SimTime) -> CoolantMonitorSample;
@@ -30,25 +37,40 @@ pub trait TelemetryProvider {
         Duration::from_seconds(300)
     }
 
-    /// Floor-wide median of each telemetry channel at `t` — the common
-    /// mode that differential features divide out. The default samples
-    /// all 48 racks; engines with a cheaper path should override.
-    fn floor_median(&self, t: SimTime) -> [f64; 6] {
-        let mut columns: [Vec<f64>; 6] = Default::default();
-        for rack in RackId::all() {
-            let ch = self.sample(rack, t).channels();
-            for (col, v) in columns.iter_mut().zip(ch) {
-                col.push(v);
+    /// Fills `rows` with the consecutive instants `from`,
+    /// `from + interval()`, …: row `k` holds every rack's channels at
+    /// `from + k · interval()`.
+    ///
+    /// The default calls [`TelemetryProvider::sample`] for each rack at
+    /// each instant. A provider with a batched path overrides it and
+    /// must return the same bits.
+    fn floor_window(&self, from: SimTime, rows: &mut [FloorRow]) {
+        let step = self.interval();
+        for (k, row) in rows.iter_mut().enumerate() {
+            let t = from + step * convert::i64_from_usize(k);
+            for (channels, rack) in row.iter_mut().zip(RackId::all()) {
+                *channels = self.sample(rack, t).channels();
             }
         }
-        let mut out = [0.0; 6];
-        for (o, col) in out.iter_mut().zip(columns.iter_mut()) {
-            col.sort_by(f64::total_cmp);
-            // One value per rack: the column is never empty.
-            *o = col.get(col.len() / 2).copied().unwrap_or(f64::NAN);
-        }
-        out
     }
+}
+
+/// Floor-wide median of each channel at one instant — the common mode
+/// that differential features divide out. With 48 racks this is the
+/// upper of the two middle values in `f64::total_cmp` order.
+// `c` counts the six entries of `median`, so it indexes every
+// `[f64; 6]` rack row in bounds. mira-lint: allow(panic-reachability)
+fn common_mode(row: &FloorRow) -> [f64; 6] {
+    let mut median = [0.0; 6];
+    for (c, m) in median.iter_mut().enumerate() {
+        let mut column = [0.0; RackId::COUNT];
+        for (v, channels) in column.iter_mut().zip(row) {
+            *v = channels[c];
+        }
+        let (_, mid, _) = column.select_nth_unstable_by(RackId::COUNT / 2, f64::total_cmp);
+        *m = *mid;
+    }
+    median
 }
 
 /// Builds balanced CMF prediction datasets.
@@ -155,8 +177,41 @@ impl DatasetBuilder {
         &self.features
     }
 
-    /// Extracts the feature window of `rack` ending at `end`
-    /// (fetching floor medians too when the mode is differential).
+    /// Reads the floor window ending at `end`: the feature window's
+    /// instants × 48 racks × 6 channels, in one
+    /// [`TelemetryProvider::floor_window`] call. In differential mode
+    /// each instant is divided by its floor median.
+    #[must_use]
+    pub fn floor_window<P: TelemetryProvider>(&self, provider: &P, end: SimTime) -> Vec<FloorRow> {
+        let step = provider.interval();
+        let n = (self.features.window.as_seconds() / step.as_seconds()).max(2);
+        let mut rows = vec![[[0.0; 6]; RackId::COUNT]; convert::usize_from_i64(n)];
+        provider.floor_window(end - self.features.window, &mut rows);
+        if self.features.mode == crate::features::FeatureMode::DifferentialDeltas {
+            for row in &mut rows {
+                let median = common_mode(row);
+                for channels in row.iter_mut() {
+                    for (v, m) in channels.iter_mut().zip(median) {
+                        *v /= m.abs().max(1e-6);
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    /// The feature vector of `rack` from a window read by
+    /// [`DatasetBuilder::floor_window`].
+    #[must_use]
+    pub fn rack_features(&self, rows: &[FloorRow], rack: RackId) -> Option<Vec<f64>> {
+        let window: Vec<[f64; 6]> = rows
+            .iter()
+            .filter_map(|row| row.get(rack.index()).copied())
+            .collect();
+        self.features.extract_rows(&window)
+    }
+
+    /// The feature vector of `rack` for the window ending at `end`.
     #[must_use]
     pub fn window_features<P: TelemetryProvider>(
         &self,
@@ -164,23 +219,7 @@ impl DatasetBuilder {
         rack: RackId,
         end: SimTime,
     ) -> Option<Vec<f64>> {
-        let step = provider.interval();
-        let n = (self.features.window.as_seconds() / step.as_seconds()).max(2);
-        let start = end - self.features.window;
-        let rows: Vec<[f64; 6]> = (0..n)
-            .map(|i| {
-                let t = start + step * i;
-                let mut ch = provider.sample(rack, t).channels();
-                if self.features.mode == crate::features::FeatureMode::DifferentialDeltas {
-                    let median = provider.floor_median(t);
-                    for (v, m) in ch.iter_mut().zip(median) {
-                        *v /= m.abs().max(1e-6);
-                    }
-                }
-                ch
-            })
-            .collect();
-        self.features.extract_rows(&rows)
+        self.rack_features(&self.floor_window(provider, end), rack)
     }
 
     /// Whether `rack` suffers a CMF within `horizon` after `t` (checked
@@ -273,12 +312,31 @@ impl DatasetBuilder {
     #[must_use]
     pub fn build<P: TelemetryProvider>(&self, provider: &P, lead: Duration) -> Dataset {
         let mut data = Dataset::empty();
-        for (rack, end, positive) in self.sample_points(lead) {
-            if let Some(f) = self.window_features(provider, rack, end) {
-                data.push(f, f64::from(u8::from(positive)));
+        self.push_windows(provider, &self.sample_points(lead), &mut data);
+        data
+    }
+
+    /// Appends the features of each `(rack, end, positive)` point to
+    /// `data`, in order. A run of points with the same `end` reads one
+    /// floor window: the racks of one cascade fail at the same instant.
+    /// Windows whose features cannot be extracted are skipped.
+    pub(crate) fn push_windows<P: TelemetryProvider>(
+        &self,
+        provider: &P,
+        points: &[(RackId, SimTime, bool)],
+        data: &mut Dataset,
+    ) {
+        for run in points.chunk_by(|a, b| a.1 == b.1) {
+            let Some(&(_, end, _)) = run.first() else {
+                continue;
+            };
+            let rows = self.floor_window(provider, end);
+            for &(rack, _, positive) in run {
+                if let Some(f) = self.rack_features(&rows, rack) {
+                    data.push(f, f64::from(u8::from(positive)));
+                }
             }
         }
-        data
     }
 
     /// Hard negatives: healthy windows that *look* eventful.

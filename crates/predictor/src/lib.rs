@@ -29,7 +29,7 @@ pub mod threshold;
 pub mod tune;
 
 pub use cusum::{CusumChannel, CusumDetector};
-pub use dataset::{DatasetBuilder, TelemetryProvider};
+pub use dataset::{DatasetBuilder, FloorRow, TelemetryProvider};
 pub use features::{FeatureConfig, FeatureMode};
 pub use location::{LocationPredictor, RackRanking, TopKAccuracy};
 pub use pipeline::{CmfPredictor, LeadTimePoint, PredictorConfig};

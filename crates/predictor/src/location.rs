@@ -65,17 +65,19 @@ impl<'a> LocationPredictor<'a> {
         Self { predictor, builder }
     }
 
-    /// Scores all 48 racks at `t` and ranks them most-suspicious first.
+    /// Scores all 48 racks at `t` from one floor window and ranks them
+    /// most-suspicious first.
     #[must_use]
     pub fn rank_at<P: TelemetryProvider>(
         &self,
         provider: &P,
         t: mira_timeseries::SimTime,
     ) -> RackRanking {
+        let rows = self.builder.floor_window(provider, t);
         let mut ranked: Vec<(RackId, f64)> = RackId::all()
             .filter_map(|rack| {
                 self.builder
-                    .window_features(provider, rack, t)
+                    .rack_features(&rows, rack)
                     .map(|f| (rack, self.predictor.predict(&f)))
             })
             .collect();

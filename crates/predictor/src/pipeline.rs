@@ -103,11 +103,7 @@ impl CmfPredictor {
     ) -> (Self, BinaryMetrics) {
         let mut data = pooled_dataset(provider, builder, &config.train_leads);
         if config.hard_negatives {
-            for (rack, end, positive) in builder.hard_negative_points() {
-                if let Some(f) = builder.window_features(provider, rack, end) {
-                    data.push(f, f64::from(u8::from(positive)));
-                }
-            }
+            builder.push_windows(provider, &builder.hard_negative_points(), &mut data);
         }
         Self::train_on(&data, config)
     }

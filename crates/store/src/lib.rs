@@ -1,7 +1,7 @@
 //! # mira-store — the columnar telemetry archive
 //!
 //! A standard-library-only storage layer for Mira's coolant-monitor
-//! telemetry and RAS log, fronted by one [`Archive`] trait with three
+//! telemetry and RAS log, fronted by one [`Archive`] trait with two
 //! backends:
 //!
 //! - [`ColumnarArchive`]: the binary columnar format — per-channel
@@ -12,8 +12,6 @@
 //! - [`CsvArchive`]: the pre-existing CSV format (telemetry file plus
 //!   a `.ras` sidecar), kept as a backend so every query surface works
 //!   against either representation.
-//! - [`MemArchive`]: an in-memory backend for tests and round-trip
-//!   oracles.
 //!
 //! All backends speak [`TelemetryRecord`] — channel values quantized
 //! to milli-units by exact integer rounding equal to the `{:.3}`
@@ -25,7 +23,6 @@ pub mod codec;
 pub mod columnar;
 pub mod csvfile;
 pub mod error;
-pub mod mem;
 pub mod record;
 
 use std::path::Path;
@@ -38,7 +35,6 @@ use mira_units::convert;
 pub use columnar::{ColumnarArchive, DEFAULT_GROUP_ROWS};
 pub use csvfile::CsvArchive;
 pub use error::StoreError;
-pub use mem::MemArchive;
 pub use record::{
     f64_from_milli, format_milli, milli_from_f64, milli_from_str, write_ras_csv, Channel,
     Projection, TelemetryRecord, TELEMETRY_HEADER,

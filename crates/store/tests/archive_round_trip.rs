@@ -10,10 +10,79 @@ use proptest::prelude::*;
 use mira_facility::RackId;
 use mira_ras::{FailureKind, RasEvent, Severity};
 use mira_store::{
-    open_archive, Archive, Channel, ColumnarArchive, CsvArchive, MemArchive, Projection,
-    StoreError, TelemetryRecord,
+    open_archive, Archive, ArchiveStat, Channel, ColumnarArchive, CsvArchive, Projection,
+    ScanStats, StoreError, TelemetryRecord,
 };
 use mira_timeseries::SimTime;
+
+/// The round-trip oracle the file-backed archives are checked against:
+/// rows and RAS events kept in memory, in append order.
+#[derive(Debug, Default)]
+struct MemArchive {
+    rows: Vec<TelemetryRecord>,
+    ras: Vec<RasEvent>,
+}
+
+impl Archive for MemArchive {
+    fn open(_path: &Path) -> Result<Self, StoreError> {
+        Ok(MemArchive::default())
+    }
+
+    fn append_telemetry(&mut self, rows: &[TelemetryRecord]) -> Result<(), StoreError> {
+        self.rows.extend_from_slice(rows);
+        Ok(())
+    }
+
+    fn append_ras(&mut self, events: &[RasEvent]) -> Result<(), StoreError> {
+        self.ras.extend_from_slice(events);
+        Ok(())
+    }
+
+    fn scan_span(
+        &mut self,
+        from: SimTime,
+        to: SimTime,
+        _projection: Projection,
+        sink: &mut dyn FnMut(&TelemetryRecord),
+    ) -> Result<ScanStats, StoreError> {
+        let mut stats = ScanStats::default();
+        for rec in self.rows.iter().filter(|r| from <= r.time && r.time < to) {
+            stats.rows_scanned += 1;
+            sink(rec);
+        }
+        Ok(stats)
+    }
+
+    fn ras_events(&mut self) -> Result<Vec<RasEvent>, StoreError> {
+        Ok(self.ras.clone())
+    }
+
+    fn stat(&mut self) -> Result<ArchiveStat, StoreError> {
+        let times = self.rows.iter().map(|r| r.time);
+        let zones = self.rows.first().map(|first| {
+            let mut zones = first.milli.map(|m| (m, m));
+            for rec in &self.rows {
+                for (z, m) in zones.iter_mut().zip(rec.milli) {
+                    *z = (z.0.min(m), z.1.max(m));
+                }
+            }
+            zones
+        });
+        Ok(ArchiveStat {
+            rows: self.rows.len() as u64,
+            ras_events: self.ras.len() as u64,
+            groups: u64::from(!self.rows.is_empty()),
+            file_bytes: 0,
+            csv_bytes: 0,
+            time_range: times.clone().min().zip(times.max()),
+            zones,
+        })
+    }
+
+    fn flush(&mut self) -> Result<(), StoreError> {
+        Ok(())
+    }
+}
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mira-store-props-{}-{name}", std::process::id()));
@@ -96,7 +165,7 @@ proptest! {
         csv.append_telemetry(&rows).expect("append");
         csv.append_ras(&events).expect("ras");
 
-        let mut mem = MemArchive::new();
+        let mut mem = MemArchive::default();
         mem.append_telemetry(&rows).expect("append");
         mem.append_ras(&events).expect("ras");
 

@@ -18,6 +18,10 @@
 //! figure sweep uses: at that step a noise-lattice cell lasts thousands
 //! of instants, so nearly every kernel call takes the cursors'
 //! cache-hit path, which the coarse seam step rarely reaches.
+//!
+//! The console digests pin the feature-window path: a differential-mode
+//! predictor trained with hard negatives, its eight-day operator-console
+//! replay across a month seam and a CMF, and a top-k localization.
 
 use std::sync::OnceLock;
 
@@ -25,8 +29,11 @@ use mira_core::analysis::full_report;
 use mira_core::archive::{export_sweep, export_sweep_ndjson};
 use mira_core::sweep::SWEEP_BLOCK;
 use mira_core::{
-    Date, DateTime, Duration, FullSpan, IncrementalSweep, ObsMode, SimConfig, SimTime, Simulation,
+    CmfPredictor, ConsoleConfig, DatasetBuilder, Date, DateTime, Duration, FeatureConfig, FullSpan,
+    IncrementalSweep, ObsMode, OperatorConsole, PredictorConfig, SimConfig, SimTime, Simulation,
 };
+use mira_nn::BinaryMetrics;
+use mira_predictor::{FeatureMode, LocationPredictor};
 
 fn sim() -> &'static Simulation {
     static SIM: OnceLock<Simulation> = OnceLock::new();
@@ -61,7 +68,7 @@ fn seam() -> (SimTime, SimTime, Duration) {
 const SEAM_INSTANTS: usize = 700;
 
 const SUMMARY_DIGEST: u64 = 0x22b3_23cf_9d16_767a;
-const OBS_JSON_DIGEST: u64 = 0x540e_8122_3544_068c;
+const OBS_JSON_DIGEST: u64 = 0xa5fd_6188_803e_5d87;
 const FULL_REPORT_DIGEST: u64 = 0xb585_3e8d_bac6_bbae;
 const EXPORT_CSV_DIGEST: u64 = 0x8130_8f1d_d880_f528;
 const EXPORT_NDJSON_DIGEST: u64 = 0x8330_1059_3e36_df9d;
@@ -174,13 +181,9 @@ fn seam_report_digest_is_frozen() {
 
 #[test]
 fn obs_snapshot_digest_is_frozen() {
-    // A private simulation: the hydraulic-memo counters in the snapshot
-    // are engine-global deltas, which concurrent tests on the shared
-    // engine would disturb.
-    let sim = Simulation::new(SimConfig::with_seed(0x601D));
     let (from, to, step) = seam();
     for threads in [1, 2, 0] {
-        let observed = sim
+        let observed = sim()
             .summarize_observed((from, to), step, threads, ObsMode::On)
             .expect("non-empty span");
         let json = observed.report.deterministic_json();
@@ -290,4 +293,116 @@ fn incremental_summary_digest_is_frozen() {
 fn incremental_report_digest_is_frozen() {
     let report = seam_incremental().figures(sim()).expect("non-empty");
     assert_eq!(digest_debug(&report), SEAM_REPORT_DIGEST);
+}
+
+/// The console world: a differential-mode predictor trained with hard
+/// negatives on the first 40 CMFs, its test metrics, and its builder.
+fn console_world() -> &'static (CmfPredictor, BinaryMetrics, DatasetBuilder) {
+    static WORLD: OnceLock<(CmfPredictor, BinaryMetrics, DatasetBuilder)> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let mut cmfs = sim().cmf_ground_truth();
+        cmfs.truncate(40);
+        let features = FeatureConfig {
+            mode: FeatureMode::DifferentialDeltas,
+            ..FeatureConfig::mira()
+        };
+        let builder = DatasetBuilder::new(features, cmfs, sim().config().span());
+        let (predictor, metrics) = CmfPredictor::train(
+            sim().telemetry(),
+            &builder,
+            &PredictorConfig {
+                epochs: 10,
+                seed: 5,
+                hard_negatives: true,
+                ..PredictorConfig::default()
+            },
+        );
+        (predictor, metrics, builder)
+    })
+}
+
+/// FNV-1a-64 over a sequence of 64-bit words (little-endian).
+fn digest_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
+    fnv1a64(&bytes)
+}
+
+/// An eight-day console span that crosses a calendar-month seam and
+/// holds a CMF: it starts three days before the first incident that
+/// falls within four days of a month's end.
+fn console_span() -> (SimTime, SimTime) {
+    let incident = sim()
+        .schedule()
+        .incidents()
+        .iter()
+        .find(|i| {
+            let d = (i.time + Duration::from_days(4)).date();
+            d.month() != i.time.date().month()
+        })
+        .expect("an incident near a month seam");
+    let from = incident.time - Duration::from_days(3);
+    (from, from + Duration::from_days(8))
+}
+
+/// The console's alerts (times, racks, probability bits), the trained
+/// predictor's test metrics and a top-k ranking, over the world above.
+/// They were computed when every feature window was read one rack-sample
+/// at a time through `TelemetryProvider::sample`; the batched floor
+/// window must reproduce them bit for bit.
+const CONSOLE_ALERTS_DIGEST: u64 = 0x6c2f_9b7d_272a_795e;
+const PREDICTOR_METRICS_DIGEST: u64 = 0x092a_296c_5976_2935;
+const TOP_K_DIGEST: u64 = 0x02fd_39b9_f428_d970;
+
+#[test]
+fn console_span_crosses_a_month_seam_and_holds_a_cmf() {
+    let (from, to) = console_span();
+    assert!(to - from >= Duration::from_days(7));
+    assert_ne!(from.date().month(), to.date().month());
+    assert!(sim()
+        .cmf_ground_truth()
+        .iter()
+        .any(|(t, _)| from <= *t && *t < to));
+}
+
+#[test]
+fn differential_console_alerts_are_frozen() {
+    let (predictor, _, builder) = console_world();
+    let (from, to) = console_span();
+    let console = OperatorConsole::new(predictor, builder, ConsoleConfig::default());
+    let log = console.replay_masked(sim().telemetry(), from, to, sim().blackout_mask());
+    let words = log.alerts.iter().flat_map(|a| {
+        [
+            a.time.epoch_seconds().cast_unsigned(),
+            a.rack.index() as u64,
+            a.probability.to_bits(),
+        ]
+    });
+    let digest = digest_words(words);
+    assert!(!log.alerts.is_empty());
+    assert_eq!(digest, CONSOLE_ALERTS_DIGEST);
+}
+
+#[test]
+fn differential_predictor_metrics_are_frozen() {
+    let (_, metrics, _) = console_world();
+    let digest = digest_words([metrics.tp, metrics.tn, metrics.fp, metrics.fn_]);
+    assert_eq!(digest, PREDICTOR_METRICS_DIGEST);
+}
+
+#[test]
+fn top_k_accuracy_is_frozen() {
+    let (predictor, _, builder) = console_world();
+    let acc = LocationPredictor::new(predictor, builder).top_k_accuracy(
+        sim().telemetry(),
+        Duration::from_hours(2),
+        3,
+        12,
+    );
+    let digest = digest_words([
+        acc.k as u64,
+        acc.hit_rate.to_bits(),
+        acc.mean_rank.to_bits(),
+        acc.events as u64,
+    ]);
+    assert_eq!(digest, TOP_K_DIGEST);
 }

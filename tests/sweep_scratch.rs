@@ -11,9 +11,8 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use mira_core::obs::keys;
 use mira_core::{
-    Date, Duration, ObsMode, Recorder, SimConfig, SimTime, Simulation, SweepStep, SweepSummary,
+    Date, Duration, Recorder, SimConfig, SimTime, Simulation, SweepStep, SweepSummary,
 };
 
 fn sim() -> &'static Simulation {
@@ -218,50 +217,4 @@ fn plan_summary_equals_cold_fold_over_theta_quarter() {
     // `PartialEq` on f64 conflates 0.0 with -0.0; the debug rendering
     // does not.
     assert_eq!(format!("{planned:?}"), format!("{cold:?}"));
-}
-
-/// The hydraulic-solve memo counters are a pure function of the sweep
-/// plan: one miss per grid step, no hits (the scratch path solves
-/// in-place), at every thread count. Random-access snapshots are where
-/// the memo earns its hits.
-#[test]
-fn hydro_counters_count_solves_not_luck() {
-    // Fresh simulation: counters are engine-global and the shared
-    // `sim()` is probed concurrently by the other tests.
-    let sim = Simulation::new(SimConfig::with_seed(99));
-    let span = (at(Date::new(2015, 2, 1)), at(Date::new(2015, 2, 8)));
-    let step = Duration::from_hours(1);
-
-    for threads in [1usize, 4] {
-        let observed = sim
-            .summarize_observed(span, step, threads, ObsMode::On)
-            .expect("non-empty span");
-        let steps = observed.report.metrics.counter(keys::SIM_STEPS);
-        assert_eq!(
-            observed
-                .report
-                .metrics
-                .counter(keys::COOLING_HYDRO_CACHE_MISSES),
-            steps,
-            "sweep path solves exactly once per step"
-        );
-        assert_eq!(
-            observed
-                .report
-                .metrics
-                .counter(keys::COOLING_HYDRO_CACHE_HITS),
-            Some(0),
-            "sweep path never consults the memo"
-        );
-    }
-
-    // Random access at a repeated instant hits the memo.
-    let (h0, m0) = sim.telemetry().hydro_cache_stats();
-    let t = at(Date::new(2015, 3, 15));
-    let a = sim.telemetry().snapshot(t);
-    let b = sim.telemetry().snapshot(t);
-    assert_eq!(a, b);
-    let (h1, m1) = sim.telemetry().hydro_cache_stats();
-    assert_eq!(m1 - m0, 1, "first snapshot solves");
-    assert_eq!(h1 - h0, 1, "second snapshot reuses the solve");
 }
