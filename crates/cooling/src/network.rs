@@ -13,22 +13,18 @@ use serde::{Deserialize, Serialize};
 use mira_facility::RackId;
 use mira_timeseries::SimTime;
 use mira_units::{convert, Gpm};
-use mira_weather::{FractalBank, NoiseCursor, ValueNoise};
+use mira_weather::{FractalBank, ValueNoise};
 
-/// Per-rack drift-cursor bank plus a reusable weight buffer for the
-/// allocation-free distribution path ([`FlowNetwork::distribute_into`]).
+/// The drift-noise lane bank for [`FlowNetwork::distribute_lanes`].
 ///
-/// Each rack samples a distinct phase of the shared drift noise, so each
-/// rack owns its own [`NoiseCursor`]; cached lattice values are pure
-/// functions of `(seed, cell)`, which keeps the cursor path bit-identical
-/// to [`FlowNetwork::distribute`] from any prior cursor state. The lane
-/// kernel ([`FlowNetwork::distribute_lanes`]) instead drives a one-octave
-/// [`FractalBank`] — a single-octave fractal is exactly `sample` (unit
-/// amplitude, unit norm), so both cursor forms produce the same bits.
+/// Each rack samples a distinct phase of the shared drift noise, so the
+/// bank holds one one-octave lane per rack; cached lattice values are
+/// pure functions of `(seed, cell)`, which keeps the lane kernel
+/// bit-identical to [`FlowNetwork::distribute`] from any prior cursor
+/// state. A single-octave fractal is exactly `sample` (unit amplitude,
+/// unit norm), so the bank reproduces the cold path's drift bits.
 #[derive(Debug, Clone)]
 pub struct FlowCursor {
-    per_rack: Vec<NoiseCursor>,
-    weights: Vec<f64>,
     lanes: FractalBank,
 }
 
@@ -115,62 +111,20 @@ impl FlowNetwork {
         weights.iter().map(|w| setpoint * (w / total)).collect()
     }
 
-    /// Builds the cursor bank for [`Self::distribute_into`].
+    /// Builds the lane bank for [`Self::distribute_lanes`].
     #[must_use]
-    // Cursor-bank constructor: allocates the per-rack buffers once per
+    // Cursor-bank constructor: allocates the lane buffers once per
     // worker (via sweep_scratch), never in the per-step fold.
     // mira-lint: allow(alloc-in-hot-path)
     pub fn flow_cursor(&self) -> FlowCursor {
         FlowCursor {
-            per_rack: vec![NoiseCursor::default(); self.conductance.len()],
-            weights: Vec::with_capacity(self.conductance.len()),
             lanes: self.drift.fractal_bank(1, self.conductance.len()),
         }
     }
 
-    /// [`Self::conductance`] through a drift cursor; bit-identical to the
-    /// cold path from any prior cursor state.
-    #[must_use]
-    // Dimensionless relative conductance. mira-lint: allow(raw-f64-in-public-api)
-    pub fn conductance_with(&self, rack: RackId, t: SimTime, cursor: &mut NoiseCursor) -> f64 {
-        let phase = convert::f64_from_i64(t.epoch_seconds())
-            + convert::f64_from_usize(rack.index()) * 8.64e6;
-        let drift = self.drift.sample_with(phase, cursor) * 0.012;
-        (self.conductance[rack.index()] + drift).max(0.05)
-    }
-
-    /// [`Self::distribute`] written into a reusable buffer: flows are
-    /// bit-identical and no heap allocation happens once `out` and the
-    /// cursor are warm.
-    pub fn distribute_into(
-        &self,
-        t: SimTime,
-        setpoint: Gpm,
-        valve_open: &[bool; RackId::COUNT],
-        cursor: &mut FlowCursor,
-        out: &mut Vec<Gpm>,
-    ) {
-        cursor.weights.clear();
-        for r in RackId::all() {
-            let w = if valve_open[r.index()] {
-                self.conductance_with(r, t, &mut cursor.per_rack[r.index()])
-            } else {
-                0.0
-            };
-            cursor.weights.push(w);
-        }
-        let total: f64 = cursor.weights.iter().sum();
-        out.clear();
-        if total <= 0.0 {
-            out.resize(RackId::COUNT, Gpm::new(0.0));
-            return;
-        }
-        out.extend(cursor.weights.iter().map(|w| setpoint * (w / total)));
-    }
-
-    /// [`Self::distribute_into`] as a lane kernel: rack `i`'s flow lands
-    /// in `out[i]` in GPM, with the weight buffer living on the stack —
-    /// no heap allocation at all, warm or cold.
+    /// [`Self::distribute`] as a lane kernel: rack `i`'s flow lands in
+    /// `out[i]` in GPM, with the weight buffer living on the stack — no
+    /// heap allocation at all, warm or cold.
     ///
     /// Bit-identical to [`Self::distribute`]: drift is the same noise at
     /// the same per-rack phase (evaluated through the one-octave lane
@@ -289,9 +243,17 @@ mod tests {
     fn cursor_distribution_is_bit_identical() {
         let net = FlowNetwork::mira(7);
         let mut cursor = net.flow_cursor();
-        let mut out = Vec::new();
+        let mut lanes = [0.0f64; 48];
         let mut open = [true; 48];
         let mut t = t0();
+        let mut check = |t: SimTime, sp: Gpm, gate: &[bool; 48]| {
+            net.distribute_lanes(t, sp, gate, &mut cursor, &mut lanes);
+            let cold = net.distribute(t, sp, gate);
+            assert_eq!(cold.len(), lanes.len());
+            for (a, b) in lanes.iter().zip(cold.iter()) {
+                assert_eq!(a.to_bits(), b.value().to_bits());
+            }
+        };
         for step in 0..600usize {
             // Exercise valve churn, including the all-closed branch.
             if step % 37 == 0 {
@@ -300,25 +262,15 @@ mod tests {
             let all_closed = step == 250;
             let gate = if all_closed { [false; 48] } else { open };
             let sp = Gpm::new(if step < 300 { 1250.0 } else { 1300.0 });
-            net.distribute_into(t, sp, &gate, &mut cursor, &mut out);
-            let cold = net.distribute(t, sp, &gate);
-            assert_eq!(out.len(), cold.len());
-            for (a, b) in out.iter().zip(cold.iter()) {
-                assert_eq!(a.value().to_bits(), b.value().to_bits());
-            }
-            // The lane kernel shares the same cursor bank and must agree
-            // bit-for-bit with the cold path too.
-            let mut lanes = [0.0f64; 48];
-            net.distribute_lanes(t, sp, &gate, &mut cursor, &mut lanes);
-            for (a, b) in lanes.iter().zip(cold.iter()) {
-                assert_eq!(a.to_bits(), b.value().to_bits());
-            }
+            check(t, sp, &gate);
             t += mira_timeseries::Duration::from_minutes(5);
         }
         // A backwards jump must invalidate cleanly.
-        let t = t0() - mira_timeseries::Duration::from_days(400);
-        net.distribute_into(t, Gpm::new(1250.0), &open, &mut cursor, &mut out);
-        assert_eq!(out, net.distribute(t, Gpm::new(1250.0), &open));
+        check(
+            t0() - mira_timeseries::Duration::from_days(400),
+            Gpm::new(1250.0),
+            &open,
+        );
     }
 
     #[test]

@@ -37,12 +37,9 @@
 //! let sim = Simulation::new(SimConfig::with_seed(7));
 //! let from = SimTime::from_date(Date::new(2015, 1, 1));
 //! let step = Duration::from_hours(6);
-//! let mut inc = IncrementalSweep::builder(from)
-//!     .step(step)
-//!     .build()
-//!     .expect("positive step");
+//! let mut inc = IncrementalSweep::new(from, step).expect("positive step");
 //! // Ingest January; the summary matches a cold batch sweep exactly.
-//! inc.ingest(sim.telemetry(), 31 * 4).expect("aligned");
+//! inc.ingest(sim.telemetry(), 31 * 4);
 //! let to = SimTime::from_date(Date::new(2015, 2, 1));
 //! let batch = sim.summarize((from, to), step).expect("non-empty");
 //! assert_eq!(inc.summary().expect("non-empty"), batch);
@@ -64,72 +61,9 @@ use crate::telemetry::{SweepScratch, TelemetryEngine};
 /// folded together exactly like the batch executor's tuple recorder.
 type ShardState = (SweepSummary, SweepObsRecorder);
 
-/// Builder for [`IncrementalSweep`], mirroring
-/// [`crate::SimConfig::builder`] / [`crate::SweepPlan`] conventions.
-///
-/// ```
-/// use mira_core::IncrementalSweep;
-/// use mira_timeseries::{Date, Duration, SimTime};
-///
-/// let inc = IncrementalSweep::builder(SimTime::from_date(Date::new(2016, 7, 1)))
-///     .step(Duration::from_minutes(5))
-///     .build()
-///     .expect("positive step");
-/// assert_eq!(inc.steps_ingested(), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalSweepBuilder {
-    from: SimTime,
-    step: Duration,
-    mode: ObsMode,
-}
-
-impl IncrementalSweepBuilder {
-    /// Sets the sampling step (default 5 minutes, like
-    /// [`crate::SweepPlan`]).
-    #[must_use]
-    pub fn step(mut self, step: Duration) -> Self {
-        self.step = step;
-        self
-    }
-
-    /// Sets the observability mode (default [`ObsMode::On`]: the obs
-    /// recorder rides the same fold, so a server can answer `metrics`
-    /// without a second pass).
-    #[must_use]
-    pub fn obs(mut self, mode: ObsMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Finishes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Sweep`] carrying [`SweepError::NonPositiveStep`] when
-    /// the step is zero or negative.
-    pub fn build(self) -> Result<IncrementalSweep, Error> {
-        if self.step.as_seconds() <= 0 {
-            return Err(SweepError::NonPositiveStep.into());
-        }
-        let mut month_starts = MonthStarts::new(self.from, self.step);
-        Ok(IncrementalSweep {
-            from: self.from,
-            step: self.step,
-            mode: self.mode,
-            next_k: 0,
-            next_boundary: month_starts.next().unwrap_or(usize::MAX),
-            month_starts,
-            prefix: None,
-            open: None,
-            scratch: None,
-        })
-    }
-}
-
 /// A running sweep aggregate that grows one grid instant at a time.
 ///
-/// Construct via [`IncrementalSweep::builder`] (or
+/// Construct via [`IncrementalSweep::new`] (or
 /// [`Simulation::incremental_sweep`]), feed it with
 /// [`IncrementalSweep::ingest`], and read
 /// [`IncrementalSweep::summary`] / [`IncrementalSweep::observed`] /
@@ -140,7 +74,6 @@ impl IncrementalSweepBuilder {
 pub struct IncrementalSweep {
     from: SimTime,
     step: Duration,
-    mode: ObsMode,
     /// Grid index of the next expected instant (= instants ingested).
     next_k: usize,
     /// Grid index at which the open shard rolls into the prefix.
@@ -156,14 +89,29 @@ pub struct IncrementalSweep {
 }
 
 impl IncrementalSweep {
-    /// A builder for an engine whose grid starts at `from`.
-    #[must_use]
-    pub fn builder(from: SimTime) -> IncrementalSweepBuilder {
-        IncrementalSweepBuilder {
-            from,
-            step: Duration::from_minutes(5),
-            mode: ObsMode::On,
+    /// An empty engine whose grid starts at `from` and advances by
+    /// `step`. The obs recorder rides the same fold, so a server can
+    /// answer `metrics` without a second pass.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Sweep`] carrying [`SweepError::NonPositiveStep`] when
+    /// the step is zero or negative.
+    pub fn new(from: SimTime, step: Duration) -> Result<Self, Error> {
+        if step.as_seconds() <= 0 {
+            return Err(SweepError::NonPositiveStep.into());
         }
+        let mut month_starts = MonthStarts::new(from, step);
+        Ok(Self {
+            from,
+            step,
+            next_k: 0,
+            next_boundary: month_starts.next().unwrap_or(usize::MAX),
+            month_starts,
+            prefix: None,
+            open: None,
+            scratch: None,
+        })
     }
 
     /// The sampling step.
@@ -212,14 +160,9 @@ impl IncrementalSweep {
     /// calendar-month boundaries so each block folds into exactly one
     /// shard — the roll into the prefix happens between blocks, exactly
     /// at the seam where the batch executor merges. Always pass the same
-    /// engine: the scratch carries cursors into it.
-    ///
-    /// # Errors
-    ///
-    /// None today: the engine always appends the next grid instants
-    /// itself, so nothing can misalign. The `Result` keeps callers'
-    /// error handling stable.
-    pub fn ingest(&mut self, engine: &TelemetryEngine, steps: usize) -> Result<(), Error> {
+    /// engine: the scratch carries cursors into it. The engine appends
+    /// the next grid instants itself, so nothing can misalign.
+    pub fn ingest(&mut self, engine: &TelemetryEngine, steps: usize) {
         let mut scratch = match self.scratch.take() {
             Some(s) => s,
             None => engine.sweep_scratch(),
@@ -232,11 +175,11 @@ impl IncrementalSweep {
             // The batch executor seeds every shard with the full plan
             // span, which only survives into the output's `span`
             // metadata field; `folded` patches it to the ingested span.
-            let (from, step, mode) = (self.from, self.step, self.mode);
+            let (from, step) = (self.from, self.step);
             let open = self.open.get_or_insert_with(|| {
                 (
                     SweepSummary::empty((from, from), step),
-                    SweepObsRecorder::new(mode),
+                    SweepObsRecorder::new(ObsMode::On),
                 )
             });
             let hi = end.min(self.next_boundary);
@@ -244,7 +187,6 @@ impl IncrementalSweep {
             self.next_k = hi;
         }
         self.scratch = Some(scratch);
-        Ok(())
     }
 
     /// Clones prefix and open shard and replays the final chronological
@@ -294,10 +236,8 @@ impl IncrementalSweep {
     /// first append.
     pub fn observed(&self) -> Result<ObservedSweep, Error> {
         let (summary, mut report) = Recorder::finish(self.folded()?);
-        if self.mode.is_on() {
-            let (from, to) = self.span();
-            record_executor_shape(&mut report.metrics, from, to, self.step);
-        }
+        let (from, to) = self.span();
+        record_executor_shape(&mut report.metrics, from, to, self.step);
         Ok(ObservedSweep { summary, report })
     }
 
@@ -334,9 +274,7 @@ impl Simulation {
     /// [`Error::Sweep`] carrying [`SweepError::NonPositiveStep`] when
     /// the step is not positive.
     pub fn incremental_sweep(&self, step: Duration) -> Result<IncrementalSweep, Error> {
-        IncrementalSweep::builder(self.config().span().0)
-            .step(step)
-            .build()
+        IncrementalSweep::new(self.config().span().0, step)
     }
 }
 
@@ -351,17 +289,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_step() {
-        let err = IncrementalSweep::builder(t(2015, 1, 1))
-            .step(Duration::ZERO)
-            .build()
-            .unwrap_err();
+    fn new_validates_step() {
+        let err = IncrementalSweep::new(t(2015, 1, 1), Duration::ZERO).unwrap_err();
         assert!(matches!(err, Error::Sweep(SweepError::NonPositiveStep)));
     }
 
     #[test]
     fn empty_engine_reports_empty_span() {
-        let inc = IncrementalSweep::builder(t(2015, 1, 1)).build().unwrap();
+        let inc = IncrementalSweep::new(t(2015, 1, 1), Duration::from_minutes(5)).unwrap();
         assert!(matches!(
             inc.summary().unwrap_err(),
             Error::Sweep(SweepError::EmptySpan)
@@ -373,11 +308,11 @@ mod tests {
         let sim = Simulation::new(SimConfig::with_seed(7));
         let from = t(2015, 1, 15);
         let step = Duration::from_hours(4);
-        let mut inc = IncrementalSweep::builder(from).step(step).build().unwrap();
+        let mut inc = IncrementalSweep::new(from, step).unwrap();
         // Ingest in ragged chunks crossing the Feb and Mar seams.
         let mut total = 0usize;
         for chunk in [40usize, 1, 97, 13, 250, 5] {
-            inc.ingest(sim.telemetry(), chunk).unwrap();
+            inc.ingest(sim.telemetry(), chunk);
             total += chunk;
             let to = from + step * convert::i64_from_usize(total);
             let batch = sim.summarize((from, to), step).unwrap();
@@ -390,9 +325,9 @@ mod tests {
         let sim = Simulation::new(SimConfig::with_seed(7));
         let from = t(2016, 5, 20);
         let step = Duration::from_hours(3);
-        let mut inc = IncrementalSweep::builder(from).step(step).build().unwrap();
+        let mut inc = IncrementalSweep::new(from, step).unwrap();
         let steps = 60 * 8; // 60 days at 8 samples/day: crosses 2 seams.
-        inc.ingest(sim.telemetry(), steps).unwrap();
+        inc.ingest(sim.telemetry(), steps);
         let to = from + step * convert::i64_from_usize(steps);
         let batch = sim
             .summarize_observed((from, to), step, 1, ObsMode::On)
@@ -403,23 +338,6 @@ mod tests {
             observed.report.deterministic_json(),
             batch.report.deterministic_json()
         );
-    }
-
-    #[test]
-    fn obs_off_rides_free_and_still_matches() {
-        let sim = Simulation::new(SimConfig::with_seed(7));
-        let from = t(2015, 3, 1);
-        let step = Duration::from_hours(6);
-        let mut inc = IncrementalSweep::builder(from)
-            .step(step)
-            .obs(ObsMode::Off)
-            .build()
-            .unwrap();
-        inc.ingest(sim.telemetry(), 31 * 4).unwrap();
-        let observed = inc.observed().unwrap();
-        assert!(observed.report.is_empty());
-        let to = from + step * convert::i64_from_usize(31 * 4);
-        assert_eq!(observed.summary, sim.summarize((from, to), step).unwrap());
     }
 
     #[test]

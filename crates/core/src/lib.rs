@@ -84,7 +84,7 @@ pub mod timeline;
 
 pub use analysis::{full_report, FigureReport};
 pub use error::Error;
-pub use incremental::{IncrementalSweep, IncrementalSweepBuilder};
+pub use incremental::IncrementalSweep;
 pub use mitigation::{
     compare_policies, evaluate_policy, CheckpointPolicy, MitigationCosts, MitigationReport,
 };

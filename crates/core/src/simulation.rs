@@ -270,9 +270,10 @@ mod tests {
         let b = Simulation::new(SimConfig::with_seed(5));
         assert_eq!(a.schedule(), b.schedule());
         let t = SimTime::from_date(Date::new(2018, 4, 1));
-        assert_eq!(
-            a.telemetry().observe_all(t).1,
-            b.telemetry().observe_all(t).1
-        );
+        let (ea, eb) = (a.telemetry(), b.telemetry());
+        let (sa, sb) = (ea.snapshot(t), eb.snapshot(t));
+        for rack in RackId::all() {
+            assert_eq!(ea.observe(rack, &sa), eb.observe(rack, &sb));
+        }
     }
 }

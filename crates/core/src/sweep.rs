@@ -138,7 +138,7 @@ pub struct SweepStep {
 /// instants, merge with a later partial of the same type, and finish
 /// into its output.
 ///
-/// Tuples of recorders implement `Recorder` too, so several analyses
+/// A pair of recorders implements `Recorder` too, so two analyses
 /// share one pass over the telemetry.
 pub trait Recorder: Sized {
     /// What [`Recorder::finish`] produces.
@@ -178,26 +178,6 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
 
     fn finish(self) -> Self::Output {
         (self.0.finish(), self.1.finish())
-    }
-}
-
-impl<A: Recorder, B: Recorder, C: Recorder> Recorder for (A, B, C) {
-    type Output = (A::Output, B::Output, C::Output);
-
-    fn record_block(&mut self, block: &SweepBlock, staging: &mut SweepStep) {
-        self.0.record_block(block, staging);
-        self.1.record_block(block, staging);
-        self.2.record_block(block, staging);
-    }
-
-    fn merge(&mut self, later: Self) {
-        self.0.merge(later.0);
-        self.1.merge(later.1);
-        self.2.merge(later.2);
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.0.finish(), self.1.finish(), self.2.finish())
     }
 }
 
@@ -574,13 +554,14 @@ mod tests {
 
     #[test]
     fn sweep_step_matches_piecewise_queries() {
-        // Random access is a block of length 1 from a fresh scratch; it
-        // must agree with the independent scalar reference path.
+        // A block of length 1 from a fresh scratch must agree with the
+        // independent scalar reference path.
         let e = engine();
         let at = t(2017, 6, 15) + Duration::from_hours(7);
         let mut scratch = e.sweep_scratch();
-        e.sweep_step_into(at, &mut scratch);
-        let step = scratch.step();
+        e.sweep_steps_into(at, Duration::from_minutes(5), 1, &mut scratch);
+        let (block, step) = scratch.block_parts();
+        block.materialize_into(0, step);
         let snap = e.snapshot(at);
         assert_eq!(step.snapshot, snap);
         for rack in RackId::all() {

@@ -364,22 +364,8 @@ impl TelemetryEngine {
     #[must_use]
     pub fn observe(&self, rack: RackId, snap: &SystemSnapshot) -> CoolantMonitorSample {
         let truth = self.rack_truth(rack, snap);
-        self.observe_truth(rack, snap.time, &truth)
-    }
-
-    /// The coolant-monitor record for `rack` given its already-computed
-    /// ground truth at `t` — lets sweep callers reuse one truth for
-    /// both the truth-based and observed channels instead of deriving
-    /// it twice.
-    #[must_use]
-    pub fn observe_truth(
-        &self,
-        rack: RackId,
-        t: SimTime,
-        truth: &RackTruth,
-    ) -> CoolantMonitorSample {
         self.monitors[rack.index()].observe(
-            t,
+            snap.time,
             truth.ambient_temperature,
             truth.ambient_humidity,
             truth.flow,
@@ -389,21 +375,8 @@ impl TelemetryEngine {
         )
     }
 
-    /// Samples all 48 racks at `t` (one snapshot, 48 observations).
-    ///
-    /// Shares the sweep scratch path with
-    /// [`TelemetryEngine::sweep_step_into`]: the snapshot, ground
-    /// truths and observations are computed exactly once each.
-    #[must_use]
-    pub fn observe_all(&self, t: SimTime) -> (SystemSnapshot, Vec<CoolantMonitorSample>) {
-        let mut scratch = self.sweep_scratch();
-        self.sweep_step_into(t, &mut scratch);
-        let step = scratch.into_step();
-        (step.snapshot, step.samples)
-    }
-
     /// Builds the reusable per-worker scratch for
-    /// [`Self::sweep_step_into`].
+    /// [`Self::sweep_steps_into`].
     #[must_use]
     // This *is* the scratch constructor: it allocates the reusable
     // buffers exactly once per worker so the per-step fold doesn't
@@ -465,23 +438,6 @@ impl TelemetryEngine {
         }
     }
 
-    /// Computes the full [`SweepStep`] at `t` into `scratch`, reusing
-    /// its buffers and cursors: zero heap allocation per step once the
-    /// scratch is warm, and bit-identical whatever the scratch computed
-    /// before.
-    ///
-    /// This is the batched kernel [`Self::sweep_steps_into`] run over a
-    /// one-instant block, with the per-instant view materialized into
-    /// `scratch.step()`. Every cache consulted (noise-lattice cursors,
-    /// the civil-day decomposition, availability and CMF windows) is
-    /// keyed on pure inputs, so the result never depends on what the
-    /// scratch was last used for.
-    pub fn sweep_step_into(&self, t: SimTime, scratch: &mut SweepScratch) {
-        self.sweep_steps_into(t, mira_cooling::monitor::SAMPLE_INTERVAL, 1, scratch);
-        let SweepScratch { step, block, .. } = scratch;
-        block.materialize_into(0, step);
-    }
-
     /// Computes `len` consecutive [`SweepStep`]s — the grid `from`,
     /// `from + step`, … — into the scratch's structure-of-arrays
     /// [`SweepBlock`], the batched sweep hot path.
@@ -491,8 +447,7 @@ impl TelemetryEngine {
     ///
     /// 1. per-instant scalars (calendar, weather, demand, availability
     ///    mask, plant response, setpoint) through the shared cursors in
-    ///    chronological order — exactly the order the per-step path
-    ///    advances them;
+    ///    chronological order;
     /// 2. hydraulic flow distribution lanes;
     /// 3. workload lanes (placement wobble, clamps), zeroed on down
     ///    racks as the scalar path's skip yields exact zeros;
@@ -507,8 +462,12 @@ impl TelemetryEngine {
     ///
     /// Every lane expression matches the scalar path's arithmetic and
     /// evaluation order, so each of the block's per-instant views is
-    /// bit-identical to [`Self::sweep_step_into`] at the same instant;
-    /// no heap allocation happens once the scratch is warm.
+    /// bit-identical to the scalar reference ([`Self::snapshot`],
+    /// [`Self::rack_truth`], [`Self::observe`]) at the same instant,
+    /// whatever the scratch computed before: every cache consulted
+    /// (noise-lattice cursors, the civil-day decomposition,
+    /// availability and CMF windows) is keyed on pure inputs. No heap
+    /// allocation happens once the scratch is warm.
     // Every `[k]` is `k < len` over rows sized by `ensure_len(len)`,
     // and every `[l]` is `l in 0..RackId::COUNT` over `[_; 48]` rows.
     // mira-lint: allow(panic-reachability)
@@ -728,18 +687,6 @@ pub struct SweepScratch {
 }
 
 impl SweepScratch {
-    /// The most recently computed step.
-    #[must_use]
-    pub fn step(&self) -> &SweepStep {
-        &self.step
-    }
-
-    /// Consumes the scratch, keeping only the last computed step.
-    #[must_use]
-    pub fn into_step(self) -> SweepStep {
-        self.step
-    }
-
     /// The most recently computed block.
     #[must_use]
     pub fn block(&self) -> &SweepBlock {
@@ -762,7 +709,8 @@ impl SweepScratch {
 /// Recorders either read the lanes directly (the summary and obs
 /// recorders do) or materialize per-instant [`SweepStep`] views with
 /// [`SweepBlock::materialize_into`]; both see exactly the bits of the
-/// same instant computed alone ([`TelemetryEngine::sweep_step_into`]).
+/// scalar reference at the same instant ([`TelemetryEngine::snapshot`],
+/// [`TelemetryEngine::rack_truth`], [`TelemetryEngine::observe`]).
 #[derive(Debug, Clone)]
 pub struct SweepBlock {
     len: usize,
@@ -911,7 +859,7 @@ impl SweepBlock {
     /// newtype. Humidity lanes already carry post-clamp values and flow
     /// and power observations their zero floor, so the constructors are
     /// idempotent here and the materialized step is bit-identical to
-    /// [`TelemetryEngine::sweep_step_into`] at the same instant.
+    /// the scalar reference at the same instant.
     ///
     /// # Panics
     ///
@@ -1010,9 +958,8 @@ mod tests {
     #[test]
     fn healthy_sample_is_in_nominal_ranges() {
         let e = engine();
-        let (_, samples) = e.observe_all(quiet_time());
-        assert_eq!(samples.len(), 48);
-        for s in &samples {
+        let snap = e.snapshot(quiet_time());
+        for s in RackId::all().map(|rack| e.observe(rack, &snap)) {
             assert!((55.0..75.0).contains(&s.inlet.value()), "inlet {}", s.inlet);
             assert!(
                 (70.0..95.0).contains(&s.outlet.value()),
@@ -1029,8 +976,11 @@ mod tests {
     #[test]
     fn system_power_in_paper_band() {
         let e = engine();
-        let (_, samples) = e.observe_all(quiet_time());
-        let mw: f64 = samples.iter().map(|s| s.power.value()).sum::<f64>() / 1000.0;
+        let snap = e.snapshot(quiet_time());
+        let mw: f64 = RackId::all()
+            .map(|rack| e.observe(rack, &snap).power.value())
+            .sum::<f64>()
+            / 1000.0;
         assert!((2.3..3.2).contains(&mw), "system power {mw} MW");
     }
 
@@ -1039,16 +989,24 @@ mod tests {
         let a = engine();
         let b = engine();
         let t = quiet_time();
-        assert_eq!(a.observe_all(t).1, b.observe_all(t).1);
+        let (sa, sb) = (a.snapshot(t), b.snapshot(t));
+        assert_eq!(sa, sb);
+        for rack in RackId::all() {
+            assert_eq!(a.observe(rack, &sa), b.observe(rack, &sb));
+        }
     }
 
     #[test]
     fn random_access_matches_snapshot_path() {
         let e = engine();
         let t = quiet_time();
-        let (snap, samples) = e.observe_all(t);
+        let mut scratch = e.sweep_scratch();
+        e.sweep_steps_into(t, e.interval(), 1, &mut scratch);
+        let (block, step) = scratch.block_parts();
+        block.materialize_into(0, step);
+        let samples = &step.samples;
         let rack = RackId::new(1, 8);
-        assert_eq!(e.observe(rack, &snap), samples[rack.index()]);
+        assert_eq!(e.observe(rack, &e.snapshot(t)), samples[rack.index()]);
         assert_eq!(
             TelemetryProvider::sample(&e, rack, t),
             samples[rack.index()]
@@ -1155,8 +1113,11 @@ mod tests {
             for d in [3u8, 9, 15, 21] {
                 for h in [2i64, 8, 14, 20] {
                     let t = SimTime::from_date(Date::new(y, m, d)) + Duration::from_hours(h);
-                    let (_, samples) = e.observe_all(t);
-                    total += samples.iter().map(|s| s.inlet.value()).sum::<f64>() / 48.0;
+                    let snap = e.snapshot(t);
+                    total += RackId::all()
+                        .map(|rack| e.observe(rack, &snap).inlet.value())
+                        .sum::<f64>()
+                        / 48.0;
                     n += 1;
                 }
             }

@@ -26,7 +26,7 @@ use crate::index::{FnId, SymbolIndex};
 use crate::parser::CallKind;
 
 /// Method names so common — on std types, or as workspace accessor /
-/// builder idioms (`.step()` is an accessor on `SweepScratch`, a
+/// builder idioms (`.step()` is an accessor on `IncrementalSweep`, a
 /// builder setter on `SweepPlan`, and a simulation tick on two other
 /// types) — that name-only resolution would drown the graph in false
 /// edges; calls to them never resolve to workspace methods.

@@ -39,15 +39,13 @@ pub const PANIC_AUDITED_CRATES: [&str; 4] = ["core", "cooling", "timeseries", "s
 
 /// The `mira-units` newtypes whose raw `f64` payload the `unit-flow`
 /// rule tracks.
-pub const UNIT_TYPES: [&str; 10] = [
+pub const UNIT_TYPES: [&str; 8] = [
     "Celsius",
     "Fahrenheit",
     "Gpm",
     "KilowattHours",
     "Kilowatts",
     "Megawatts",
-    "Percent",
-    "Ratio",
     "RelHumidity",
     "Watts",
 ];
@@ -74,9 +72,8 @@ pub const DETERMINISM_ROOT_FILES: [&str; 2] =
 /// text path's per-row count; the archive benchmark reports
 /// `archive.allocs_per_row`), not something a static walk can
 /// discover — see DESIGN.md §10.
-pub const HOT_ROOT_FNS: [(&str, &str, &str); 7] = [
+pub const HOT_ROOT_FNS: [(&str, &str, &str); 6] = [
     ("core", "SweepPlan", "run"),
-    ("core", "TelemetryEngine", "sweep_step_into"),
     ("core", "TelemetryEngine", "sweep_steps_into"),
     ("core", "SweepSummary", "record_block"),
     ("store", "TelemetryRecord", "from_sample"),
@@ -296,10 +293,10 @@ impl Rule {
                  simulated step (tests/text_path_allocs.rs); every buffer is owned by\n\
                  SweepScratch and reused via clear()+push. This rule walks the\n\
                  call graph from the configured hot roots (SweepPlan::run, the\n\
-                 batched kernel TelemetryEngine::sweep_steps_into and its\n\
-                 1-instant form sweep_step_into, the one summary fold\n\
-                 SweepSummary::record_block, the `merge` aggregation fns\n\
-                 of core/obs/timeseries, and the per-row telemetry text path\n\
+                 batched kernel TelemetryEngine::sweep_steps_into, the one\n\
+                 summary fold SweepSummary::record_block, the `merge`\n\
+                 aggregation fns of core/obs/timeseries, and the per-row\n\
+                 telemetry text path\n\
                  TelemetryRecord::from_sample / write_csv / write_ndjson)\n\
                  and reports any reachable\n\
                  allocation site: heap-container constructors (Vec::new,\n\
@@ -1297,12 +1294,12 @@ pub fn blend(
     #[test]
     fn alloc_in_hot_path_fires_on_injected_vec_new() {
         // The acceptance fixture: a synthetic Vec::new smuggled beneath
-        // sweep_step_into through a helper.
+        // sweep_steps_into through a helper.
         let found = scan(&[(
             "crates/core/src/telemetry.rs",
             "pub struct TelemetryEngine;\n\
              impl TelemetryEngine {\n\
-                 pub fn sweep_step_into(&self) {\n        helper();\n    }\n\
+                 pub fn sweep_steps_into(&self) {\n        helper();\n    }\n\
              }\n\
              fn helper() {\n    let v: Vec<f64> = Vec::new();\n    let _ = v;\n}\n",
         )]);
@@ -1313,7 +1310,7 @@ pub fn blend(
         assert_eq!(hits.len(), 1, "{found:?}");
         assert_eq!(
             hits[0].chain,
-            vec!["TelemetryEngine::sweep_step_into", "helper"]
+            vec!["TelemetryEngine::sweep_steps_into", "helper"]
         );
         assert!(hits[0].matched.contains("Vec::new"));
         assert!(hits[0].matched.contains("crates/core/src/telemetry.rs:8"));
@@ -1327,7 +1324,7 @@ pub fn blend(
             "crates/core/src/telemetry.rs",
             "pub struct TelemetryEngine;\n\
              impl TelemetryEngine {\n\
-                 pub fn sweep_step_into(&self, out: &mut Vec<f64>, scratch: &mut SweepScratch) {\n\
+                 pub fn sweep_steps_into(&self, out: &mut Vec<f64>, scratch: &mut SweepScratch) {\n\
                      out.clear();\n        out.push(1.0);\n        scratch.truths.push(2.0);\n    }\n\
              }\n",
         )]);

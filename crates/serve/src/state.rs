@@ -274,15 +274,12 @@ impl ServeState {
 
     fn ingest(&self, id: &Json, steps: usize) -> String {
         let started = Instant::now();
-        let (result, total, next) = {
+        let (total, next) = {
             let mut inc = self.write_sweep();
-            let result = inc.ingest(self.sim.telemetry(), steps);
-            (result, inc.steps_ingested(), inc.next_time())
+            inc.ingest(self.sim.telemetry(), steps);
+            (inc.steps_ingested(), inc.next_time())
         };
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Err(e) = result {
-            return core_error_reply(id, &e);
-        }
         {
             let mut stats = self.lock_stats();
             stats.note_ingested(convert::u64_from_usize(steps));

@@ -10,9 +10,10 @@
 use proptest::prelude::*;
 
 use mira_facility::RackId;
-use mira_store::csvfile::{for_each_row, parse_telemetry_row};
+use mira_store::csvfile::{for_each_row, parse_ras_row, parse_telemetry_row};
 use mira_store::{
-    format_milli, milli_from_f64, milli_from_str, StoreError, TelemetryRecord, TELEMETRY_HEADER,
+    format_milli, milli_from_f64, milli_from_str, StoreError, TelemetryRecord, RAS_HEADER,
+    TELEMETRY_HEADER,
 };
 use mira_timeseries::SimTime;
 
@@ -269,6 +270,12 @@ fn malformed_rows_are_rejected_with_their_line() {
     )
     .expect_err("bad header");
     assert!(matches!(err, StoreError::Parse { line: 1, .. }), "{err}");
+
+    // RAS rows too: an unknown failure kind names its line.
+    let text = format!("{RAS_HEADER}\n123,(0, 1),NOPE,fatal\n");
+    let err = for_each_row(text.as_bytes(), RAS_HEADER, parse_ras_row, |_| {})
+        .expect_err("unknown kind on line 2");
+    assert!(matches!(err, StoreError::Parse { line: 2, .. }), "{err}");
 }
 
 #[test]

@@ -19,8 +19,6 @@
 //! - [`bins`] — [`CalendarBins`], per-calendar-month and per-weekday
 //!   accumulators whose merged yearly and month-of-year views power the
 //!   paper's Figs. 2, 4 and 5.
-//! - [`rolling`] — [`RollingWindow`], the fixed-capacity telemetry ring
-//!   buffer behind CMF lead-up capture.
 //!
 //! # Example
 //!
@@ -38,14 +36,12 @@
 
 pub mod bins;
 pub mod civil;
-pub mod rolling;
 pub mod series;
 pub mod stats;
 pub mod time;
 
 pub use bins::{CalendarBins, MonthProfile, WeekdayProfile, YearProfile};
 pub use civil::{Date, DateTime, Month, Weekday};
-pub use rolling::RollingWindow;
 pub use series::TimeSeries;
 pub use stats::{
     autocorrelation, linear_fit, mean, median, pearson, percentile, spearman,

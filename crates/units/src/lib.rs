@@ -28,12 +28,10 @@ pub mod energy;
 pub mod flow;
 pub mod humidity;
 pub mod power;
-pub mod ratio;
 pub mod temperature;
 
 pub use energy::KilowattHours;
 pub use flow::Gpm;
 pub use humidity::{condensation_margin, dew_point, RelHumidity};
 pub use power::{Kilowatts, Megawatts, Watts};
-pub use ratio::{Percent, Ratio};
 pub use temperature::{Celsius, Fahrenheit};

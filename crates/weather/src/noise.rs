@@ -88,18 +88,6 @@ pub struct FractalBank {
 }
 
 impl FractalBank {
-    /// Number of octaves per lane.
-    #[must_use]
-    pub fn octaves(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Number of lanes in the bank.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Evaluates every lane at once: lane `l` samples the fractal at
     /// phase `base + l * stride`, the exact phase arithmetic the scalar
     /// per-rack callers use, and the result lands in `out[l]`.
@@ -109,8 +97,8 @@ impl FractalBank {
     /// contributions accumulate in the same order as
     /// [`ValueNoise::fractal`], and the final division by the shared
     /// norm matches the scalar `total / norm`, so every `out[l]` is
-    /// bit-identical to [`ValueNoise::fractal_with_lane`] at the same
-    /// phase from any prior bank state.
+    /// bit-identical to [`ValueNoise::fractal`] at the same phase from
+    /// any prior bank state.
     ///
     /// Each octave runs as three lane passes: a branch-free phase pass
     /// (`x = (base + l·stride) / period`, its floor and fraction, and
@@ -124,7 +112,7 @@ impl FractalBank {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from `self.lanes()`.
+    /// Panics if `out.len()` differs from the bank's lane count.
     // Raw seconds phase axis, same contract as `fractal`. The octave
     // rows are sized `octaves * lanes` by the constructor, `frac` is
     // sized `lanes`, the output slice is length-asserted, and every
@@ -367,41 +355,6 @@ impl ValueNoise {
             layers,
         }
     }
-
-    /// [`Self::fractal`] through one lane of a pre-built bank;
-    /// bit-identical to `fractal(t, bank.octaves())` for any prior bank
-    /// state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of the bank's range.
-    #[must_use]
-    // Raw seconds axis, same contract as `fractal`. mira-lint: allow(raw-f64-in-public-api)
-    pub fn fractal_with_lane(&self, t: f64, bank: &mut FractalBank, lane: usize) -> f64 {
-        // Documented panic contract: `lane` must be below `bank.lanes()`,
-        // and every bank is built with one lane per caller-side slot
-        // (rack), so in-tree callers index with `rack.index()` into a
-        // 48-lane bank. mira-lint: allow(panic-reachability)
-        assert!(lane < bank.lanes, "lane out of range");
-        let mut total = 0.0;
-        let mut amplitude = 1.0;
-        let mut norm = 0.0;
-        for (o, layer) in bank.layers.iter().enumerate() {
-            let slot = o * bank.lanes + lane;
-            // Same floor and smoothstep as [`Self::sample_with`], with
-            // the two lattice hashes read from the bank's SoA rows.
-            let (cell, frac) = split_phase(t / layer.period);
-            if bank.cells[slot].to_bits() != cell.to_bits() {
-                bank.cells[slot] = cell;
-                (bank.lo[slot], bank.hi[slot]) = layer.lattice_pair(cell);
-            }
-            let s = frac * frac * (3.0 - 2.0 * frac);
-            total += (bank.lo[slot] * (1.0 - s) + bank.hi[slot] * s) * amplitude;
-            norm += amplitude;
-            amplitude *= 0.5;
-        }
-        total / norm
-    }
 }
 
 /// Splits a lattice phase into its cell (`x.floor()`) and the fraction
@@ -493,17 +446,15 @@ mod tests {
     fn bank_lanes_are_bit_identical_and_independent() {
         let n = ValueNoise::new(77, 3600.0);
         let mut bank = n.fractal_bank(2, 4);
-        assert_eq!(bank.octaves(), 2);
-        assert_eq!(bank.lanes(), 4);
-        // Lanes sample interleaved at distinct phases (as racks do), and
-        // each must match the cold path at its own phase.
+        let mut out = [0.0f64; 4];
+        // Lanes sample at distinct phases (as racks do), and each must
+        // match the cold path at its own phase.
         for k in -2_000i64..2_000 {
-            for lane in 0..4usize {
-                let t = k as f64 * 211.7 + lane as f64 * 4.321e6;
-                assert_eq!(
-                    n.fractal(t, 2).to_bits(),
-                    n.fractal_with_lane(t, &mut bank, lane).to_bits()
-                );
+            let base = k as f64 * 211.7;
+            bank.fractal_lanes_into(base, 4.321e6, &mut out);
+            for (lane, v) in out.iter().enumerate() {
+                let t = base + lane as f64 * 4.321e6;
+                assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits());
             }
         }
     }
@@ -522,26 +473,6 @@ mod tests {
             for (lane, v) in out.iter().enumerate() {
                 let t = base + lane as f64 * stride;
                 assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits(), "lane {lane} at {t}");
-            }
-        }
-        // Interleaving the batch kernel with scalar lane sampling must
-        // not disturb either path (shared cursor state, pure caches).
-        for k in -500i64..500 {
-            let base = k as f64 * 997.0;
-            if k % 3 == 0 {
-                for lane in 0..4usize {
-                    let t = base + lane as f64 * stride;
-                    assert_eq!(
-                        n.fractal(t, 2).to_bits(),
-                        n.fractal_with_lane(t, &mut bank, lane).to_bits()
-                    );
-                }
-            } else {
-                bank.fractal_lanes_into(base, stride, &mut out);
-                for (lane, v) in out.iter().enumerate() {
-                    let t = base + lane as f64 * stride;
-                    assert_eq!(n.fractal(t, 2).to_bits(), v.to_bits());
-                }
             }
         }
     }
@@ -649,27 +580,21 @@ mod tests {
         let mut bank = n.fractal_bank(3, lanes);
         let mut out = vec![0.0f64; lanes];
         // 300 s steps: one or two lanes leave their cell on any given
-        // call while the rest hit their cache, and scalar lane calls
-        // (at other phases) rewrite some slots in between.
+        // call while the rest hit their cache, and lane calls at other
+        // phases rewrite some slots in between.
         for k in 0..200i64 {
             let base = -30_000.0 + k as f64 * 300.0;
-            if k % 7 == 3 {
-                let lane = usize::try_from(k).expect("non-negative") % lanes;
-                let t = base * 2.5;
-                assert_eq!(
-                    n.fractal_with_lane(t, &mut bank, lane).to_bits(),
-                    fractal_integer_floor(&n, t, 3).to_bits(),
-                    "lane call {lane} at {t}"
-                );
-            }
-            bank.fractal_lanes_into(base, stride, &mut out);
-            for (lane, v) in out.iter().enumerate() {
-                let t = base + lane as f64 * stride;
-                assert_eq!(
-                    fractal_integer_floor(&n, t, 3).to_bits(),
-                    v.to_bits(),
-                    "lane {lane} at {t}"
-                );
+            let between = (k % 7 == 3).then_some((base * 2.5, -stride));
+            for (base, stride) in between.into_iter().chain([(base, stride)]) {
+                bank.fractal_lanes_into(base, stride, &mut out);
+                for (lane, v) in out.iter().enumerate() {
+                    let t = base + lane as f64 * stride;
+                    assert_eq!(
+                        fractal_integer_floor(&n, t, 3).to_bits(),
+                        v.to_bits(),
+                        "lane {lane} at {t}"
+                    );
+                }
             }
         }
     }

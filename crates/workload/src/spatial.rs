@@ -16,12 +16,12 @@ use mira_timeseries::SimTime;
 use mira_units::convert;
 use mira_weather::{FractalBank, ValueNoise};
 
-/// Per-rack cursor bank for [`RackUsageProfile::placement_wobble_with`].
+/// Per-rack cursor bank for [`RackUsageProfile::placement_wobble_lanes_into`].
 ///
 /// Each rack's wobble samples a distinct phase of the shared placement
 /// noise, so each rack owns its own cursor lane of a [`FractalBank`]
 /// (one contiguous buffer rather than 48 heap vectors); cached lattice
-/// values are pure functions of `(seed, cell)` and the cursor path is
+/// values are pure functions of `(seed, cell)` and the lane path is
 /// bit-identical to [`RackUsageProfile::placement_wobble`].
 #[derive(Debug, Clone)]
 pub struct WobbleCursor {
@@ -137,30 +137,12 @@ impl RackUsageProfile {
     }
 
     /// Builds the per-rack cursor bank for
-    /// [`Self::placement_wobble_with`].
+    /// [`Self::placement_wobble_lanes_into`].
     #[must_use]
     pub fn wobble_cursor(&self) -> WobbleCursor {
         WobbleCursor {
             bank: self.placement_noise.fractal_bank(2, self.factors.len()),
         }
-    }
-
-    /// [`Self::placement_wobble`] through the rack's noise cursor;
-    /// bit-identical to the cold path.
-    #[must_use]
-    // Dimensionless multiplier, same contract as `placement_wobble`. mira-lint: allow(raw-f64-in-public-api)
-    pub fn placement_wobble_with(
-        &self,
-        rack: RackId,
-        t: SimTime,
-        cursor: &mut WobbleCursor,
-    ) -> f64 {
-        let phase = convert::f64_from_i64(t.epoch_seconds())
-            + convert::f64_from_usize(rack.index()) * 4.321e6;
-        1.0 + self
-            .placement_noise
-            .fractal_with_lane(phase, &mut cursor.bank, rack.index())
-            * 0.045
     }
 
     /// [`Self::placement_wobble`] for every rack at once: lane `l` of

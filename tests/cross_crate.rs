@@ -118,10 +118,10 @@ fn alarms_fire_near_failures_not_in_steady_state() {
     let mut t = SimTime::from_date(Date::new(2017, 6, 5));
     let end = t + Duration::from_days(7);
     while t < end {
-        let (_, samples) = telemetry.observe_all(t);
-        for s in &samples {
+        let snap = telemetry.snapshot(t);
+        for s in RackId::all().map(|rack| telemetry.observe(rack, &snap)) {
             assert_eq!(
-                thresholds.check(s),
+                thresholds.check(&s),
                 None,
                 "false alarm at {} on {}",
                 t,

@@ -1,7 +1,7 @@
 //! Reproducibility: the whole world is a function of the seed, and
 //! sweep results are a function of the plan — never the thread count.
 
-use mira_core::{analysis, Date, Duration, FullSpan, SimConfig, SimTime, Simulation};
+use mira_core::{analysis, Date, Duration, FullSpan, RackId, SimConfig, SimTime, Simulation};
 
 #[test]
 fn same_seed_bitwise_identical_world() {
@@ -12,10 +12,12 @@ fn same_seed_bitwise_identical_world() {
     assert_eq!(a.ras_log(), b.ras_log());
 
     let t = SimTime::from_date(Date::new(2016, 8, 15)) + Duration::from_hours(10);
-    assert_eq!(
-        a.telemetry().observe_all(t).1,
-        b.telemetry().observe_all(t).1
-    );
+    let (ea, eb) = (a.telemetry(), b.telemetry());
+    let (sa, sb) = (ea.snapshot(t), eb.snapshot(t));
+    assert_eq!(sa, sb);
+    for rack in RackId::all() {
+        assert_eq!(ea.observe(rack, &sa), eb.observe(rack, &sb));
+    }
 
     let span = (
         SimTime::from_date(Date::new(2015, 6, 1)),
@@ -45,10 +47,9 @@ fn different_seeds_differ_but_keep_invariants() {
         b.schedule().incidents()[0].time
     );
     let t = SimTime::from_date(Date::new(2018, 3, 3));
-    assert_ne!(
-        a.telemetry().observe_all(t).1,
-        b.telemetry().observe_all(t).1
-    );
+    let (ea, eb) = (a.telemetry(), b.telemetry());
+    let (sa, sb) = (ea.snapshot(t), eb.snapshot(t));
+    assert!(RackId::all().any(|rack| ea.observe(rack, &sa) != eb.observe(rack, &sb)));
 
     // ...but the measured ground truth does not.
     for sim in [&a, &b] {
@@ -56,8 +57,8 @@ fn different_seeds_differ_but_keep_invariants() {
         assert_eq!(fig10.total, 361);
         assert!((0.38..0.42).contains(&fig10.share_2016));
         let counts = sim.ras_log().cmf_by_rack();
-        assert_eq!(counts[mira_core::RackId::new(1, 8).index()], 14);
-        assert_eq!(counts[mira_core::RackId::new(2, 7).index()], 5);
+        assert_eq!(counts[RackId::new(1, 8).index()], 14);
+        assert_eq!(counts[RackId::new(2, 7).index()], 5);
     }
 }
 
@@ -168,7 +169,7 @@ fn telemetry_is_pure_random_access() {
     use mira_core::TelemetryProvider;
 
     let sim = Simulation::new(SimConfig::with_seed(77));
-    let rack = mira_core::RackId::new(2, 5);
+    let rack = RackId::new(2, 5);
     let t = SimTime::from_date(Date::new(2019, 9, 9)) + Duration::from_minutes(35);
 
     // Sampling out of order, repeatedly, gives identical records.

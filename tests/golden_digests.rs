@@ -270,15 +270,11 @@ fn ragged_export_spans_keep_their_rows_and_bytes() {
 /// the month seam.
 fn seam_incremental() -> IncrementalSweep {
     let (from, _, step) = seam();
-    let mut inc = IncrementalSweep::builder(from)
-        .step(step)
-        .build()
-        .expect("positive step");
+    let mut inc = IncrementalSweep::new(from, step).expect("positive step");
     let chunks = [1usize, 16, 45, 200, 7, 431];
     assert_eq!(chunks.iter().sum::<usize>(), SEAM_INSTANTS);
     for chunk in chunks {
-        inc.ingest(sim().telemetry(), chunk)
-            .expect("grid-ordered ingest");
+        inc.ingest(sim().telemetry(), chunk);
     }
     inc
 }

@@ -49,14 +49,11 @@ proptest! {
         let from = SimTime::from_date(Date::new(2015, 1, 1))
             + Duration::from_hours(24 * offset_days);
         let step = Duration::from_hours(step_hours);
-        let mut inc = mira_core::IncrementalSweep::builder(from)
-            .step(step)
-            .build()
-            .expect("positive step");
+        let mut inc = mira_core::IncrementalSweep::new(from, step).expect("positive step");
 
         let mut total = 0usize;
         for chunk in chunks {
-            inc.ingest(sim.telemetry(), chunk).expect("aligned ingest");
+            inc.ingest(sim.telemetry(), chunk);
             total += chunk;
         }
         let to = from + step * i64_of(total);
@@ -100,13 +97,10 @@ proptest! {
         let from = SimTime::from_date(Date::new(2015, 1, 1))
             + Duration::from_hours(24 * offset_days);
         let step = Duration::from_hours(step_hours);
-        let mut inc = mira_core::IncrementalSweep::builder(from)
-            .step(step)
-            .build()
-            .expect("positive step");
+        let mut inc = mira_core::IncrementalSweep::new(from, step).expect("positive step");
         let mut total = 0usize;
         for chunk in chunks {
-            inc.ingest(sim.telemetry(), chunk).expect("aligned ingest");
+            inc.ingest(sim.telemetry(), chunk);
             total += chunk;
         }
         let to = from + step * i64_of(total);

@@ -91,8 +91,11 @@ proptest! {
         let mut n = 0u32;
         let mut t = from;
         while t < to {
-            let (_, samples) = sim().telemetry().observe_all(t);
-            total += samples.iter().map(|s| s.power.value()).sum::<f64>() / 1000.0;
+            let snap = sim().telemetry().snapshot(t);
+            total += RackId::all()
+                .map(|rack| sim().telemetry().observe(rack, &snap).power.value())
+                .sum::<f64>()
+                / 1000.0;
             n += 1;
             t += step;
         }

@@ -1,18 +1,19 @@
-//! Equivalence of the reusable-scratch sweep hot path with the cold
-//! per-step path.
+//! Equivalence of the reusable-scratch sweep kernel with the scalar
+//! reference path.
 //!
 //! Every cursor and memo inside [`mira_core::SweepScratch`] is keyed on
-//! pure function inputs, so a warm scratch must reproduce the cold path
-//! bit for bit — including across the July 2016 Theta-integration
-//! boundary of the operational timeline, where the supply-temperature
-//! uplift and the valve/outage pattern both change shape.
+//! pure function inputs, so a warm scratch must reproduce the scalar
+//! reference (`snapshot`, `rack_truth`, `observe`) bit for bit —
+//! including across the July 2016 Theta-integration boundary of the
+//! operational timeline, where the supply-temperature uplift and the
+//! valve/outage pattern both change shape.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use mira_core::{
-    Date, Duration, Recorder, SimConfig, SimTime, Simulation, SweepStep, SweepSummary,
+    Date, Duration, RackId, Recorder, SimConfig, SimTime, Simulation, SweepStep, SweepSummary,
 };
 
 fn sim() -> &'static Simulation {
@@ -24,47 +25,53 @@ fn at(date: Date) -> SimTime {
     SimTime::from_date(date)
 }
 
-/// The cold reference: one instant computed from a fresh scratch, so no
-/// cursor or memo state carries over from any earlier instant.
-fn cold_step(t: SimTime) -> SweepStep {
+/// The reference: one instant from the scalar path, which shares no
+/// cursor, memo or lane code with the kernel.
+fn reference_step(t: SimTime) -> SweepStep {
     let engine = sim().telemetry();
-    let mut scratch = engine.sweep_scratch();
-    engine.sweep_step_into(t, &mut scratch);
-    scratch.into_step()
+    let snapshot = engine.snapshot(t);
+    SweepStep {
+        civil: t.civil_parts(),
+        truths: RackId::all()
+            .map(|rack| engine.rack_truth(rack, &snapshot))
+            .collect(),
+        samples: RackId::all()
+            .map(|rack| engine.observe(rack, &snapshot))
+            .collect(),
+        snapshot,
+    }
 }
 
-/// A warm scratch equals a cold step at every probed instant. The probe
-/// order deliberately jumps backwards across the Theta boundary so any
-/// stale validity window would be caught.
-fn assert_scratch_matches_cold(times: &[SimTime]) {
+/// `step` equals the reference at its instant, under `PartialEq` and
+/// under the debug rendering (`PartialEq` on f64 conflates 0.0 with
+/// -0.0; the debug rendering does not).
+fn assert_matches_reference(step: &SweepStep, what: &str) {
+    let want = reference_step(step.snapshot.time);
+    assert_eq!(*step, want, "{what}");
+    assert_eq!(format!("{step:?}"), format!("{want:?}"), "{what}");
+}
+
+/// A warm scratch walked one instant at a time equals the reference at
+/// every probed instant. The probe order deliberately jumps backwards
+/// across the Theta boundary so any stale validity window would be
+/// caught.
+fn assert_scratch_matches_reference(times: &[SimTime]) {
     let engine = sim().telemetry();
     let mut scratch = engine.sweep_scratch();
     for &t in times {
-        engine.sweep_step_into(t, &mut scratch);
-        let cold = cold_step(t);
-        assert_eq!(*scratch.step(), cold, "scratch diverged at {t:?}");
-        // `PartialEq` on f64 conflates 0.0 with -0.0; the debug
-        // rendering does not, so compare that too.
-        assert_eq!(format!("{:?}", scratch.step()), format!("{cold:?}"));
+        engine.sweep_steps_into(t, Duration::from_minutes(5), 1, &mut scratch);
+        let (block, step) = scratch.block_parts();
+        block.materialize_into(0, step);
+        assert_eq!(step.snapshot.time, t);
+        assert_matches_reference(step, &format!("scratch diverged at {t:?}"));
     }
 }
 
 /// The batched kernel partitioned into `block`-sized chunks reproduces
-/// the per-step path bit for bit at every instant of the grid
-/// `[from, from + step·total)`. The per-step reference walks its own
-/// warm scratch in the same chronological order (itself pinned to the
-/// cold path by the tests above), so this transitively pins the batch
-/// path to the cold path too.
-fn assert_batched_matches_per_step(from: SimTime, step: Duration, total: usize, block: usize) {
+/// the scalar reference bit for bit at every instant of the grid
+/// `[from, from + step·total)`.
+fn assert_batched_matches_reference(from: SimTime, step: Duration, total: usize, block: usize) {
     let engine = sim().telemetry();
-    let mut per_step = engine.sweep_scratch();
-    let mut expected = Vec::with_capacity(total);
-    for k in 0..total {
-        let t = from + step * i64::try_from(k).expect("small grid");
-        engine.sweep_step_into(t, &mut per_step);
-        expected.push(per_step.step().clone());
-    }
-
     let mut scratch = engine.sweep_scratch();
     let mut k = 0usize;
     while k < total {
@@ -74,17 +81,13 @@ fn assert_batched_matches_per_step(from: SimTime, step: Duration, total: usize, 
         let (blk, staging) = scratch.block_parts();
         assert_eq!(blk.len(), n);
         for j in 0..n {
-            assert_eq!(blk.time(j), expected[k + j].snapshot.time);
+            let want = t + step * i64::try_from(j).expect("small grid");
+            assert_eq!(blk.time(j), want);
             blk.materialize_into(j, staging);
-            assert_eq!(
-                *staging,
-                expected[k + j],
-                "block size {block} diverged at grid index {}",
-                k + j
+            assert_matches_reference(
+                staging,
+                &format!("block size {block} diverged at grid index {}", k + j),
             );
-            // `PartialEq` on f64 conflates 0.0 with -0.0; the debug
-            // rendering does not, so compare that too.
-            assert_eq!(format!("{staging:?}"), format!("{:?}", expected[k + j]));
         }
         k += n;
     }
@@ -100,7 +103,7 @@ fn batched_blocks_match_per_step_across_theta_and_month_seam() {
     let step = Duration::from_hours(2);
     let total = 20 * 12; // 20 days at 12 samples/day.
     for block in [1usize, 7, 48, total] {
-        assert_batched_matches_per_step(from, step, total, block);
+        assert_batched_matches_reference(from, step, total, block);
     }
 }
 
@@ -108,7 +111,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random grids and partition widths near the Theta boundary: any
-    /// chunking of `sweep_steps_into` equals the per-step fold exactly.
+    /// chunking of `sweep_steps_into` equals the scalar reference exactly.
     #[test]
     fn batched_blocks_match_per_step_anywhere(
         start_day in 0i64..55,
@@ -117,7 +120,7 @@ proptest! {
     ) {
         let from = at(Date::new(2016, 5, 5)) + Duration::from_hours(24 * start_day);
         let step = Duration::from_minutes(step_minutes);
-        assert_batched_matches_per_step(from, step, 40, block);
+        assert_batched_matches_reference(from, step, 40, block);
     }
 
     /// Random spans straddling the July 2016 Theta event: a single
@@ -143,7 +146,7 @@ proptest! {
         times.push(at(Date::new(2016, 5, 1)) + Duration::from_hours(24 * revisit_day));
         // And forward again, past the uplift ramp.
         times.push(at(Date::new(2016, 9, 15)));
-        assert_scratch_matches_cold(&times);
+        assert_scratch_matches_reference(&times);
     }
 }
 
@@ -163,7 +166,7 @@ fn scratch_matches_cold_at_timeline_edges() {
         at(Date::new(2014, 3, 3)), // far backwards jump
         at(Date::new(2019, 12, 31)) + Duration::from_hours(23),
     ];
-    assert_scratch_matches_cold(&times);
+    assert_scratch_matches_reference(&times);
 }
 
 /// A quarter-long sweep through the plan (warm scratch per worker,
