@@ -116,6 +116,17 @@ if ! cmp -s "$store_dir/tele.csv" "$store_dir/back.csv"; then
   echo "ci: columnar unpack is not byte-identical to the packed CSV" >&2
   exit 1
 fi
+# CRLF line ends read like LF on the user path: a CRLF copy of the
+# export packs and unpacks to the LF original, byte for byte.
+sed 's/$/\r/' "$store_dir/tele.csv" >"$store_dir/tele-crlf.csv"
+cargo run -q -p mira-ops -- archive pack --in "$store_dir/tele-crlf.csv" \
+  --out "$store_dir/crlf.mstore" --group-rows 288 >/dev/null
+cargo run -q -p mira-ops -- archive unpack --in "$store_dir/crlf.mstore" \
+  --out "$store_dir/crlf-back.csv" >/dev/null
+if ! cmp -s "$store_dir/tele.csv" "$store_dir/crlf-back.csv"; then
+  echo "ci: a CRLF copy of the export does not pack and unpack to the LF original" >&2
+  exit 1
+fi
 store_span=(--from "2015-03-01 06:00" --to "2015-03-01 18:00")
 export_sim_one="$(MIRA_SWEEP_THREADS=1 cargo run -q -p mira-ops -- export "${store_span[@]}" --step-min 30)"
 export_sim_four="$(MIRA_SWEEP_THREADS=4 cargo run -q -p mira-ops -- export "${store_span[@]}" --step-min 30)"

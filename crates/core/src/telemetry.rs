@@ -687,12 +687,6 @@ pub struct SweepScratch {
 }
 
 impl SweepScratch {
-    /// The most recently computed block.
-    #[must_use]
-    pub fn block(&self) -> &SweepBlock {
-        &self.block
-    }
-
     /// Split-borrow of the block (read) and the per-step staging
     /// buffer (write), for recorders that materialize per-instant
     /// views out of a batch.

@@ -99,22 +99,81 @@ impl RackId {
     /// Returns [`ParseRackIdError`] when the string is not of the form
     /// `(<row>, <hex column>)` with row in `0..3`.
     pub fn parse(s: &str) -> Result<Self, ParseRackIdError> {
-        let inner = s
-            .trim()
-            .strip_prefix('(')
-            .and_then(|r| r.strip_suffix(')'))
+        match Self::parse_prefix(s)? {
+            (rack, rest) if rest.trim_start().is_empty() => Ok(rack),
+            _ => Err(ParseRackIdError),
+        }
+    }
+
+    /// Parses the rack id at the front of `s` and returns it with the
+    /// text after its `)`. This is the one rack grammar, read byte by
+    /// byte: whitespace, `(`, a decimal row (optional `+`, leading
+    /// zeros allowed), `,`, one hex column digit, `)`, with whitespace
+    /// allowed around the row and the column. [`RackId::parse`] is
+    /// this plus nothing but whitespace after the `)`; the CSV row
+    /// scanner calls it in the middle of a line.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseRackIdError`] when `s` does not start with
+    /// `(<row>, <hex column>)` and row in `0..3`.
+    pub fn parse_prefix(s: &str) -> Result<(Self, &str), ParseRackIdError> {
+        let bytes = s.as_bytes();
+        let at = |i: usize| bytes.get(i).copied();
+        // Skips whitespace as `str::trim` defines it: spaces and other
+        // printable ASCII decide at once, anything else goes through
+        // `trim_start`. Every position passed in is a char boundary of
+        // `s` (the start, or just past an ASCII byte).
+        let skip_ws = |mut i: usize| {
+            while at(i) == Some(b' ') {
+                i += 1;
+            }
+            if at(i).is_some_and(|b| b.is_ascii_graphic()) {
+                return i;
+            }
+            s.get(i..)
+                .map_or(i, |rest| s.len() - rest.trim_start().len())
+        };
+        let mut i = skip_ws(0);
+        if at(i) != Some(b'(') {
+            return Err(ParseRackIdError);
+        }
+        i = skip_ws(i + 1);
+        if at(i) == Some(b'+') {
+            i += 1;
+        }
+        let digits = i;
+        // Saturates well past the range check; leading zeros still
+        // count as one row.
+        let mut row = 0u16;
+        while let Some(d) = at(i).filter(u8::is_ascii_digit) {
+            row = (row * 10 + u16::from(d - b'0')).min(u16::from(u8::MAX) + 1);
+            i += 1;
+        }
+        if i == digits {
+            return Err(ParseRackIdError);
+        }
+        i = skip_ws(i);
+        if at(i) != Some(b',') {
+            return Err(ParseRackIdError);
+        }
+        i = skip_ws(i + 1);
+        let column = at(i)
+            .and_then(|c| char::from(c).to_digit(16))
             .ok_or(ParseRackIdError)?;
-        let (row_s, col_s) = inner.split_once(',').ok_or(ParseRackIdError)?;
-        let row: u8 = row_s.trim().parse().map_err(|_| ParseRackIdError)?;
-        let col_s = col_s.trim();
-        if col_s.len() != 1 {
+        i = skip_ws(i + 1);
+        if at(i) != Some(b')') {
             return Err(ParseRackIdError);
         }
-        let column = u8::from_str_radix(col_s, 16).map_err(|_| ParseRackIdError)?;
-        if row >= ROWS || column >= COLUMNS {
-            return Err(ParseRackIdError);
-        }
-        Ok(Self { row, column })
+        let row = u8::try_from(row)
+            .ok()
+            .filter(|&r| r < ROWS)
+            .ok_or(ParseRackIdError)?;
+        let column = u8::try_from(column)
+            .ok()
+            .filter(|&c| c < COLUMNS)
+            .ok_or(ParseRackIdError)?;
+        Ok((Self { row, column }, s.get(i + 1..).unwrap_or_default()))
     }
 
     /// Distance (in rack slots) from the nearest end of the rack's row.

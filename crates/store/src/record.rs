@@ -324,38 +324,61 @@ pub fn milli_from_f64(v: f64) -> i64 {
 #[must_use]
 pub fn milli_from_str(s: &str) -> Option<i64> {
     let t = s.trim();
-    match milli_from_canonical(t) {
-        Some(m) => Some(m),
-        None => t.parse::<f64>().ok().map(milli_from_f64),
+    match milli_prefix(t.as_bytes()) {
+        Some((m, len)) if len == t.len() => Some(m),
+        _ => t.parse::<f64>().ok().map(milli_from_f64),
     }
 }
 
-/// `[-]digits[.frac]` with at most three fractional digits, converted
-/// digit by digit; `None` for any other shape or on overflow.
-fn milli_from_canonical(t: &str) -> Option<i64> {
-    let (neg, body) = match t.strip_prefix('-') {
-        Some(rest) => (true, rest),
-        None => (false, t),
-    };
-    let (int_part, frac_part) = body.split_once('.').unwrap_or((body, ""));
-    if int_part.is_empty() || frac_part.len() > 3 {
+/// The canonical number at the front of `b` — `[-]digits[.frac]`, at
+/// most three fractional digits read — converted digit by digit, with
+/// the byte length it spans. `None` when `b` does not start with one
+/// or its value overflows. Callers decide what may follow: the whole
+/// text for [`milli_from_str`], a comma or the line end for the CSV
+/// row scanner.
+pub(crate) fn milli_prefix(b: &[u8]) -> Option<(i64, usize)> {
+    let neg = b.first() == Some(&b'-');
+    let start = usize::from(neg);
+    let (int, mut i) = digits_prefix(b, start)?;
+    if i == start {
         return None;
     }
-    let digit = |b: u8| b.is_ascii_digit().then(|| i64::from(b - b'0'));
-    let mut magnitude = 0i64;
-    for b in int_part.bytes() {
-        magnitude = magnitude.checked_mul(10)?.checked_add(digit(b)?)?;
+    // Up to three fractional digits, right-padded: "5" is 500 milli.
+    let mut frac = 0;
+    if b.get(i) == Some(&b'.') {
+        i += 1;
+        for scale in [100, 10, 1] {
+            let Some(d) = b.get(i).filter(|d| d.is_ascii_digit()) else {
+                break;
+            };
+            frac += u64::from(d - b'0') * scale;
+            i += 1;
+        }
     }
-    // Right-pad the fraction to three digits: "5" is 500 milli.
-    let mut frac = frac_part.bytes();
-    for _ in 0..3 {
-        let d = match frac.next() {
-            Some(b) => digit(b)?,
-            None => 0,
-        };
-        magnitude = magnitude.checked_mul(10)?.checked_add(d)?;
+    let magnitude = int.checked_mul(1000)?.checked_add(frac)?;
+    let magnitude = i64::try_from(magnitude).ok()?;
+    Some((if neg { -magnitude } else { magnitude }, i))
+}
+
+/// The run of decimal digits in `b` from `start` as a `u64`, with the
+/// index just past it; `None` once the value comes within one digit
+/// of outgrowing a `u64`, far past anything a caller accepts (a
+/// timestamp or a milli value must fit an `i64`). The digit chain
+/// itself runs unchecked (`m * 10 + d`); only a predictable bound
+/// guards it.
+pub(crate) fn digits_prefix(b: &[u8], start: usize) -> Option<(u64, usize)> {
+    // Up to this, `m * 10 + 9` still fits.
+    const LIMIT: u64 = (u64::MAX - 9) / 10;
+    let mut m = 0u64;
+    let mut i = start;
+    while let Some(d) = b.get(i).filter(|c| c.is_ascii_digit()) {
+        if m > LIMIT {
+            return None;
+        }
+        m = m * 10 + u64::from(d - b'0');
+        i += 1;
     }
-    Some(if neg { -magnitude } else { magnitude })
+    Some((m, i))
 }
 
 /// Renders milli-units exactly as `{:.3}` renders the value they were

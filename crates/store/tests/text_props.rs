@@ -5,17 +5,161 @@
 //! the float formatter itself: render with `format!("{v:.3}")`, drop
 //! the decimal point, parse the digits. The renderers must equal the
 //! `format!`-built rows they replaced, so their oracle is that code,
-//! kept here. Both oracles live only in this test.
+//! kept here. The one-pass row scanner must accept, reject and report
+//! exactly what the split-at-commas parser it replaced did, so that
+//! parser is kept here too ([`split_parser`]). The oracles live only
+//! in this test.
+
+use std::io::{self, BufRead, BufReader, Read};
 
 use proptest::prelude::*;
 
 use mira_facility::RackId;
-use mira_store::csvfile::{for_each_row, parse_ras_row, parse_telemetry_row};
+use mira_ras::{FailureKind, RasEvent, Severity};
+use mira_store::csvfile::{for_each_row, parse_ras_row, parse_telemetry_row, MAX_LINE_BYTES};
 use mira_store::{
-    format_milli, milli_from_f64, milli_from_str, StoreError, TelemetryRecord, RAS_HEADER,
-    TELEMETRY_HEADER,
+    format_milli, milli_from_f64, milli_from_str, write_ras_csv, StoreError, TelemetryRecord,
+    RAS_HEADER, TELEMETRY_HEADER,
 };
 use mira_timeseries::SimTime;
+
+/// The row parser the one-pass scanner replaced: split the line at
+/// commas, then trim and parse each field on its own, the rack through
+/// `trim` / `strip_prefix` / `split_once` and the numbers through
+/// `split_once('.')` with the `f64` fallback.
+mod split_parser {
+    use mira_facility::{ParseRackIdError, RackId};
+    use mira_ras::{FailureKind, RasEvent, Severity};
+    use mira_store::{milli_from_f64, StoreError, TelemetryRecord};
+    use mira_timeseries::SimTime;
+
+    fn split_fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+        let mut fields = [""; N];
+        let mut parts = line.split(',');
+        for slot in &mut fields {
+            *slot = parts.next()?;
+        }
+        parts.next().is_none().then_some(fields)
+    }
+
+    fn parse_err(line: usize, message: &str) -> StoreError {
+        StoreError::Parse {
+            line,
+            message: message.to_string(),
+        }
+    }
+
+    fn parse_time(field: &str, lineno: usize) -> Result<SimTime, StoreError> {
+        field
+            .trim()
+            .parse()
+            .map(SimTime::from_epoch_seconds)
+            .map_err(|_| parse_err(lineno, "bad timestamp"))
+    }
+
+    pub(super) fn rack(s: &str) -> Result<RackId, ParseRackIdError> {
+        let inner = s
+            .trim()
+            .strip_prefix('(')
+            .and_then(|r| r.strip_suffix(')'))
+            .ok_or(ParseRackIdError)?;
+        let (row_s, col_s) = inner.split_once(',').ok_or(ParseRackIdError)?;
+        let row: u8 = row_s.trim().parse().map_err(|_| ParseRackIdError)?;
+        let col_s = col_s.trim();
+        if col_s.len() != 1 {
+            return Err(ParseRackIdError);
+        }
+        let column = u8::from_str_radix(col_s, 16).map_err(|_| ParseRackIdError)?;
+        if row >= 3 || column >= 16 {
+            return Err(ParseRackIdError);
+        }
+        Ok(RackId::new(row, column))
+    }
+
+    fn parse_rack(
+        line: &str,
+        [time, row, column]: [&str; 3],
+        lineno: usize,
+    ) -> Result<RackId, StoreError> {
+        let start = time.len() + 1;
+        let end = start + row.len() + 1 + column.len();
+        rack(&line[start..end]).map_err(|e| parse_err(lineno, &format!("bad rack: {e}")))
+    }
+
+    pub(super) fn milli_from_str(s: &str) -> Option<i64> {
+        let t = s.trim();
+        match milli_from_canonical(t) {
+            Some(m) => Some(m),
+            None => t.parse::<f64>().ok().map(milli_from_f64),
+        }
+    }
+
+    fn milli_from_canonical(t: &str) -> Option<i64> {
+        let (neg, body) = match t.strip_prefix('-') {
+            Some(rest) => (true, rest),
+            None => (false, t),
+        };
+        let (int_part, frac_part) = body.split_once('.').unwrap_or((body, ""));
+        if int_part.is_empty() || frac_part.len() > 3 {
+            return None;
+        }
+        let digit = |b: u8| b.is_ascii_digit().then(|| i64::from(b - b'0'));
+        let mut magnitude = 0i64;
+        for b in int_part.bytes() {
+            magnitude = magnitude.checked_mul(10)?.checked_add(digit(b)?)?;
+        }
+        let mut frac = frac_part.bytes();
+        for _ in 0..3 {
+            let d = match frac.next() {
+                Some(b) => digit(b)?,
+                None => 0,
+            };
+            magnitude = magnitude.checked_mul(10)?.checked_add(d)?;
+        }
+        Some(if neg { -magnitude } else { magnitude })
+    }
+
+    pub(super) fn telemetry_row(line: &str, lineno: usize) -> Result<TelemetryRecord, StoreError> {
+        let [time, row, column, values @ ..] =
+            split_fields::<9>(line).ok_or_else(|| parse_err(lineno, "expected 9 comma fields"))?;
+        let time_s = parse_time(time, lineno)?;
+        let rack = parse_rack(line, [time, row, column], lineno)?;
+        let mut milli = [0i64; 6];
+        for ((m, raw), field) in milli.iter_mut().zip(values).zip(3..) {
+            *m = milli_from_str(raw)
+                .ok_or_else(|| parse_err(lineno, &format!("bad number in field {field}")))?;
+        }
+        Ok(TelemetryRecord {
+            time: time_s,
+            rack,
+            milli,
+        })
+    }
+
+    pub(super) fn ras_row(line: &str, lineno: usize) -> Result<RasEvent, StoreError> {
+        let [time, row, column, kind, severity] =
+            split_fields::<5>(line).ok_or_else(|| parse_err(lineno, "expected 5 comma fields"))?;
+        let time_s = parse_time(time, lineno)?;
+        let rack = parse_rack(line, [time, row, column], lineno)?;
+        let kind_tag = kind.trim();
+        let kind = FailureKind::ALL
+            .iter()
+            .copied()
+            .find(|k| k.tag() == kind_tag)
+            .ok_or_else(|| parse_err(lineno, &format!("unknown failure kind {kind_tag}")))?;
+        let severity_tag = severity.trim();
+        let severity = [Severity::Warn, Severity::Fatal]
+            .into_iter()
+            .find(|s| s.tag() == severity_tag)
+            .ok_or_else(|| parse_err(lineno, &format!("unknown severity {severity_tag}")))?;
+        Ok(RasEvent {
+            time: time_s,
+            rack,
+            kind,
+            severity,
+        })
+    }
+}
 
 /// Milli-units as `{:.3}` renders `v`, after the quantizer's clamp and
 /// non-finite rule.
@@ -87,6 +231,92 @@ fn record(rack: usize, time: i64, raw: [i64; 6], shifts: [u32; 6]) -> TelemetryR
         rack: RackId::from_index(rack),
         milli,
     }
+}
+
+/// What row mutations insert or write over: the row grammar's own
+/// characters, hex digits, and whitespace `str::trim` strips, ASCII
+/// and not.
+const MUTATION_CHARS: &[char] = &[
+    '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', ',', '.', '-', '+', 'e', 'E', '(', ')', ' ',
+    '\r', 'a', 'b', 'c', 'd', 'f', 'A', 'B', 'C', 'D', 'F', '\t', '\u{b}', '\u{a0}', '\u{2003}',
+];
+
+/// Applies edits to `text` in turn. Each edit packs an op (its low
+/// byte mod 3: 0 inserts, 1 deletes, 2 replaces), a position (the
+/// next four bytes) and a char (the top three bytes); positions and
+/// chars wrap around.
+fn mutate(text: &str, edits: &[u64]) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for &edit in edits {
+        let (op, at) = (edit & 0xff, (edit >> 8) as u32 as usize);
+        let c = MUTATION_CHARS[(edit >> 40) as usize % MUTATION_CHARS.len()];
+        match (op % 3, chars.len()) {
+            (0, n) => chars.insert(at % (n + 1), c),
+            (_, 0) => {}
+            (1, n) => {
+                chars.remove(at % n);
+            }
+            (_, n) => chars[at % n] = c,
+        }
+    }
+    chars.into_iter().collect()
+}
+
+fn edits() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..=u64::MAX, 1..6)
+}
+
+/// Six independent milli values and their shifts, for [`record`]:
+/// each value's top six bits pick its shift, so every magnitude is
+/// drawn.
+fn milli_parts() -> impl Strategy<Value = ([i64; 6], [u32; 6])> {
+    proptest::collection::vec(i64::MIN..=i64::MAX, 6..7).prop_map(|v| {
+        let raw: [i64; 6] = v.try_into().expect("six values");
+        (raw, raw.map(|r| (r as u64 >> 58) as u32))
+    })
+}
+
+fn parse_line(e: &StoreError) -> Option<usize> {
+    match e {
+        StoreError::Parse { line, .. } => Some(*line),
+        _ => None,
+    }
+}
+
+/// The scanner and the split parser agree on `line`: the same value,
+/// or errors with the same line number and message.
+fn assert_same_parse<T: PartialEq + std::fmt::Debug>(
+    line: &str,
+    scanned: Result<T, StoreError>,
+    split: Result<T, StoreError>,
+) {
+    match (scanned, split) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{line:?}"),
+        (Err(a), Err(b)) => {
+            assert_eq!(parse_line(&a), parse_line(&b), "{line:?}");
+            assert_eq!(a.to_string(), b.to_string(), "{line:?}");
+        }
+        (a, b) => panic!("{line:?}: scanned {a:?}, split {b:?}"),
+    }
+}
+
+fn ras_event(rack: usize, time: i64, kind: usize, fatal: u8) -> RasEvent {
+    RasEvent {
+        time: SimTime::from_epoch_seconds(time),
+        rack: RackId::from_index(rack),
+        kind: FailureKind::ALL[kind % FailureKind::ALL.len()],
+        severity: if fatal == 1 {
+            Severity::Fatal
+        } else {
+            Severity::Warn
+        },
+    }
+}
+
+fn ras_row(e: &RasEvent) -> String {
+    let mut buf = Vec::new();
+    write_ras_csv(e, &mut buf);
+    String::from_utf8(buf).expect("ASCII")
 }
 
 proptest! {
@@ -193,6 +423,58 @@ proptest! {
         };
         prop_assert_eq!(parse_telemetry_row(&r.csv_row(), 2).expect("round trip"), r);
     }
+
+    #[test]
+    fn scanner_matches_split_parser_on_rows_from_records(
+        rack in 0usize..48,
+        time in i64::MIN..=i64::MAX,
+        parts in milli_parts(),
+    ) {
+        let r = record(rack, time, parts.0, parts.1);
+        let line = r.csv_row();
+        prop_assert_eq!(parse_telemetry_row(&line, 5).expect("canonical row"), r);
+        assert_same_parse(&line, parse_telemetry_row(&line, 5), split_parser::telemetry_row(&line, 5));
+    }
+
+    #[test]
+    fn scanner_matches_split_parser_on_mutated_rows(
+        rack in 0usize..48,
+        time in i64::MIN..=i64::MAX,
+        parts in milli_parts(),
+        edits in edits(),
+    ) {
+        let line = mutate(&record(rack, time, parts.0, parts.1).csv_row(), &edits);
+        assert_same_parse(&line, parse_telemetry_row(&line, 11), split_parser::telemetry_row(&line, 11));
+    }
+
+    #[test]
+    fn ras_scanner_matches_split_parser(
+        rack in 0usize..48,
+        time in i64::MIN..=i64::MAX,
+        kind in 0usize..7,
+        fatal in 0u8..2,
+        edits in edits(),
+    ) {
+        let e = ras_event(rack, time, kind, fatal);
+        let line = ras_row(&e);
+        prop_assert_eq!(parse_ras_row(&line, 3).expect("canonical row"), e);
+        assert_same_parse(&line, parse_ras_row(&line, 3), split_parser::ras_row(&line, 3));
+        let line = mutate(&line, &edits);
+        assert_same_parse(&line, parse_ras_row(&line, 3), split_parser::ras_row(&line, 3));
+    }
+
+    #[test]
+    fn rack_and_number_grammars_match_split_parser(
+        rack in 0usize..48,
+        m in i64::MIN..=i64::MAX,
+        shift in 0u32..64,
+        edits in edits(),
+    ) {
+        let text = mutate(&RackId::from_index(rack).to_string(), &edits);
+        prop_assert_eq!(RackId::parse(&text), split_parser::rack(&text), "{:?}", text);
+        let text = mutate(&format_milli((m >> shift).max(-i64::MAX)), &edits);
+        prop_assert_eq!(milli_from_str(&text), split_parser::milli_from_str(&text), "{:?}", text);
+    }
 }
 
 #[test]
@@ -278,6 +560,61 @@ fn malformed_rows_are_rejected_with_their_line() {
     assert!(matches!(err, StoreError::Parse { line: 2, .. }), "{err}");
 }
 
+/// Boundary values random rows almost never draw: the ends of the
+/// `i64` timestamp and milli ranges and one past them, signs and
+/// padding, and rack ids with leading zeros or a row past `u8`.
+#[test]
+fn scanner_matches_split_parser_at_the_edges() {
+    let times = [
+        "-9223372036854775808",
+        "9223372036854775807",
+        "-9223372036854775809",
+        "9223372036854775808",
+        "18446744073709551616",
+        "+5",
+        " -0 ",
+        "-",
+        "",
+    ];
+    let racks = [
+        "(0, A)",
+        " ( +01 , a ) ",
+        "(002,f)",
+        "(256, 0)",
+        "(0, 10)",
+        "(-0, 0)",
+    ];
+    let numbers = [
+        "9223372036854775.807",
+        "9223372036854775.808",
+        "-9223372036854775.807",
+        "-9223372036854775.808",
+        "18446744073709551616",
+        "00000000000000000000001.5",
+        "7.",
+        "-.5",
+        "-",
+    ];
+    for time in times {
+        for rack in racks {
+            for number in numbers {
+                let line = format!("{time},{rack},{number},1,2,3,4,{number}");
+                assert_same_parse(
+                    &line,
+                    parse_telemetry_row(&line, 9),
+                    split_parser::telemetry_row(&line, 9),
+                );
+            }
+            let line = format!("{time},{rack}, CMF ,fatal");
+            assert_same_parse(
+                &line,
+                parse_ras_row(&line, 9),
+                split_parser::ras_row(&line, 9),
+            );
+        }
+    }
+}
+
 #[test]
 fn non_canonical_numbers_fall_back_to_float_quantization() {
     assert_eq!(milli_from_str("1e3"), Some(1_000_000));
@@ -321,4 +658,52 @@ fn crlf_lines_parse_like_lf_lines() {
     for (r, row) in lf.iter().zip(rows) {
         assert_eq!(r.csv_row(), row);
     }
+}
+
+/// `text` through [`for_each_row`] with a parser that returns each
+/// line's length.
+fn line_lengths(reader: impl BufRead) -> Result<Vec<usize>, StoreError> {
+    let mut lens = Vec::new();
+    for_each_row(reader, "h", |line, _| Ok(line.len()), |n| lens.push(n))?;
+    Ok(lens)
+}
+
+#[test]
+fn a_line_without_end_is_rejected_after_a_bounded_read() {
+    let total = 4u64 << 20;
+    let mut reader = BufReader::new(b"h\n".chain(io::repeat(b'7').take(total)));
+    let err = line_lengths(&mut reader).expect_err("line over the cap");
+    assert!(matches!(err, StoreError::Parse { line: 2, .. }), "{err}");
+    // The reader stopped just past the cap: the rest is still unread.
+    let unread = io::copy(&mut reader, &mut io::sink()).expect("in memory");
+    assert!(
+        unread >= total - 2 * MAX_LINE_BYTES as u64,
+        "read {} of {total} bytes",
+        total - unread
+    );
+}
+
+#[test]
+fn a_line_at_the_cap_is_still_a_line() {
+    for eol in ["\n", "\r\n", ""] {
+        let at_cap = format!("h\n1\n{}{eol}", "7".repeat(MAX_LINE_BYTES));
+        assert_eq!(
+            line_lengths(at_cap.as_bytes()).expect("at the cap"),
+            [1, MAX_LINE_BYTES],
+            "{eol:?}"
+        );
+        let over = format!("h\n1\n{}{eol}2\n", "7".repeat(MAX_LINE_BYTES + 1));
+        let err = line_lengths(over.as_bytes()).expect_err("over the cap");
+        assert!(
+            matches!(err, StoreError::Parse { line: 3, .. }),
+            "{eol:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn text_that_is_not_utf8_is_an_io_error() {
+    let text = b"h\n1,(0, 0),1,2,3,4,5,\xff\n";
+    let err = for_each_row(&text[..], "h", parse_telemetry_row, |_| {}).expect_err("not UTF-8");
+    assert!(matches!(err, StoreError::Io(_)), "{err}");
 }

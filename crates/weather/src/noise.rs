@@ -51,14 +51,6 @@ pub struct FractalCursor {
     layers: Vec<(ValueNoise, NoiseCursor)>,
 }
 
-impl FractalCursor {
-    /// Number of octaves this cursor serves.
-    #[must_use]
-    pub fn octaves(&self) -> usize {
-        self.layers.len()
-    }
-}
-
 /// Cursor bank for *many* call sites (lanes) of the same
 /// [`ValueNoise::fractal`] source — e.g. one lane per rack.
 ///
@@ -308,7 +300,8 @@ impl ValueNoise {
     }
 
     /// [`Self::fractal`] through a pre-built cursor bank; bit-identical
-    /// to `fractal(t, cursor.octaves())` for any prior cursor state.
+    /// to `fractal(t, octaves)`, with the `octaves` the cursor was built
+    /// with, for any prior cursor state.
     #[must_use]
     // Raw seconds axis, same contract as `fractal`. mira-lint: allow(raw-f64-in-public-api)
     pub fn fractal_with(&self, t: f64, cursor: &mut FractalCursor) -> f64 {

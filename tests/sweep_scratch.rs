@@ -198,12 +198,12 @@ fn plan_summary_equals_cold_fold_over_theta_quarter() {
     while t < to {
         let mut scratch = engine.sweep_scratch();
         engine.sweep_steps_into(t, step, 1, &mut scratch);
-        let m = scratch.block().time(0).date().month().number();
+        let (block, staging) = scratch.block_parts();
+        let m = block.time(0).date().month().number();
         if m != month {
             partials.push(SweepSummary::empty((from, to), step));
             month = m;
         }
-        let (block, staging) = scratch.block_parts();
         partials
             .last_mut()
             .expect("pushed above")
